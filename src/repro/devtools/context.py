@@ -98,7 +98,7 @@ class ModuleContext:
 
     @staticmethod
     def _dotted_name(path: Path) -> "str | None":
-        """``repro.serve.pool`` for files inside a package, else None."""
+        """``repro.engine.pool`` for files inside a package, else None."""
         try:
             resolved = path.resolve()
         except OSError:
@@ -204,7 +204,7 @@ class ModuleContext:
 
     def package_relpath(self) -> "str | None":
         """Path relative to the innermost package root, ``/``-joined
-        (``serve/pool.py``), or None for files outside any package."""
+        (``engine/pool.py``), or None for files outside any package."""
         if self.dotted_name is None or "." not in self.dotted_name:
             return None
         return "/".join(self.dotted_name.split(".")[1:]) + ".py"

@@ -12,11 +12,11 @@ The transport's security story rests on two invariants:
 * **The task map ships names, not code** — workers map the wire names
   ``"map"``/``"reduce"`` to the module-level functions
   ``execute_map_task``/``execute_reduce_task`` (``TASK_UNITS`` in
-  ``repro.worker``; the driver-side mirror ``_UNIT_NAMES``).
-  ``task-whitelist`` pins both registries to exactly those whitelisted
-  module-level names: a lambda, call result, attribute lookup or
-  unlisted function in the map would widen what a driver can make a
-  worker execute.
+  ``repro.worker``, the one registry; the driver derives its
+  function → name map from it).  ``task-whitelist`` pins the registry
+  to exactly those whitelisted module-level names: a lambda, call
+  result, attribute lookup or unlisted function in the map would widen
+  what a driver can make a worker execute.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ from .context import ModuleContext
 from .findings import Finding
 from .registry import register_rule
 
-#: The only functions the worker task registries may reference.
+#: The only functions the worker task registry may reference.
 ALLOWED_TASK_UNITS = {"execute_map_task", "execute_reduce_task"}
 #: Module-level names that *are* task registries.
-TASK_REGISTRY_NAMES = {"TASK_UNITS", "_UNIT_NAMES"}
+TASK_REGISTRY_NAMES = {"TASK_UNITS"}
 #: The receive method that unpickles (vs ``recv_raw``, which does not).
 UNPICKLING_RECV = "recv"
 

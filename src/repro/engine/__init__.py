@@ -54,11 +54,7 @@ from .backend import (
     get_backend,
     register_backend,
 )
-from .distributed import (
-    DistributedBackend,
-    DistributedExecutionError,
-    DistributedRuntime,
-)
+from .distributed import DistributedBackend, DistributedRuntime
 from .execution import (
     ExecutionProgress,
     ExecutionStateMirror,
@@ -81,6 +77,7 @@ from .persistence import (
 )
 from .pipeline import ERPipeline
 from .planned import PlannedBackend
+from .pool import DistributedExecutionError
 from .result import PipelineResult
 from .serial import SerialBackend
 from .simulate import (

@@ -1,283 +1,39 @@
-"""The distributed backend: task units on worker *processes* over sockets.
+"""The distributed backend: one job on a worker pool of its own.
 
-This is the paper's deployment story made real at miniature scale: the
-whole point of BlockSplit/PairRange is that independent workers receive
-even shares of the comparison workload, and here the workers finally
-are independent OS processes rather than threads of one interpreter.
-The driver (:class:`DistributedRuntime`) listens on a loopback socket,
-spawns ``num_workers`` processes running ``python -m repro.worker``,
-and ships them the very same schedulable task units every other runtime
-executes — :func:`~repro.mapreduce.runtime.execute_map_task` /
-:func:`~repro.mapreduce.runtime.execute_reduce_task` — serialized over
-the length-prefixed framing of :mod:`repro.mapreduce.transport`.
-
-Determinism is preserved by construction:
-
-* task units are pure (no shared state; side outputs ride back on the
-  result and are applied by the driver, in task order);
-* tasks are *pulled* in submission order (so ``task-started`` events
-  and cancellation checks fire exactly as in the serial runtime);
-* results are merged and drained through the sink in **task-index
-  order**, whatever order workers finish in.
-
-So matches, counters, per-task statistics and the execution-event
-stream are byte-identical to the serial backend — proven per strategy ×
-source-arity × memory budget in ``tests/engine/test_distributed.py``.
-
-Fault tolerance (the part a networked backend cannot skip):
-
-* every worker heartbeats; a silent worker is declared dead after
-  ``heartbeat_timeout`` seconds;
-* a worker whose connection drops (crash) or whose current task
-  exceeds ``task_timeout`` is killed and its task is **requeued** to a
-  surviving worker — at most ``max_task_retries`` times, then the job
-  fails with a clean :class:`DistributedExecutionError`;
-* a lost worker can be **respawned** — a fresh process under a fresh
-  index — bounded by the ``max_worker_respawns`` budget (default 0:
-  the pool only shrinks, the original behaviour).  Respawning restores
-  pool capacity; the requeue path above is unchanged and the respawned
-  worker is simply one more survivor to requeue onto;
-* a task that *raises* is not retried (the failure is deterministic);
-  the remote exception propagates to the driver exactly like the
-  in-process backends propagate theirs;
-* a late result from a worker that was already declared dead is
-  discarded by task id, so a requeued task can never be double-counted.
-
-``tests/engine/test_fault_injection.py`` drives all of this with real
-injected crashes and hangs (see the env hooks in :mod:`repro.worker`).
-
-The spawn/authenticate half lives in :class:`WorkerLauncher` so the
-long-lived shared pool of :mod:`repro.serve` reuses it verbatim: same
-token preamble, same environment plumbing, same hello validation.
+The scheduler — worker bring-up, heartbeats, task timeout, requeue,
+bounded retry, respawn, stale-reply handling, the in-order merge — is
+:mod:`repro.engine.pool`, shared with the :mod:`repro.serve` daemon.
+What this module adds is ownership: a :class:`DistributedRuntime` is a
+:class:`~repro.engine.pool.PooledRuntime` over a private
+:class:`~repro.engine.pool.SharedWorkerPool` that it starts at its
+first task unit and closes with itself, so ``backend="distributed"``
+pays worker startup per run and needs no daemon.  Matches, counters,
+per-task statistics and the execution-event stream are byte-identical
+to the serial backend (``tests/engine/test_distributed.py``), under
+injected worker crashes and hangs too
+(``tests/engine/test_fault_injection.py``).
 """
 
 from __future__ import annotations
 
-import itertools
-import os
-import queue
-import secrets
-import subprocess
-import sys
-import threading
-import time
-from collections import deque
-from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Callable, Iterable
 
 from ..mapreduce.dfs import DistributedFileSystem
-from ..mapreduce.runtime import (
-    LocalRuntime,
-    TaskCall,
-    execute_map_task,
-    execute_reduce_task,
-)
-from ..mapreduce.transport import (
-    ENV_TOKEN,
-    Connection,
-    Listener,
-    TransportError,
-    encode_message,
-)
+from ..mapreduce.runtime import TaskCall
 from .backend import register_backend
 from .executing import ExecutingBackendBase
-
-#: Task-unit functions → the names the wire protocol ships.
-_UNIT_NAMES: dict[Callable[..., Any], str] = {
-    execute_map_task: "map",
-    execute_reduce_task: "reduce",
-}
+from .pool import PooledRuntime, SharedWorkerPool
 
 
-class DistributedExecutionError(RuntimeError):
-    """The distributed runtime could not finish a job: workers were
-    lost faster than tasks could be retried, a worker failed to start,
-    or a task exhausted its retry budget."""
+class DistributedRuntime(PooledRuntime):
+    """Job executor that ships task units to worker processes it owns.
 
-
-class WorkerLauncher:
-    """Spawns and authenticates ``python -m repro.worker`` processes.
-
-    Owns the accept socket and the per-cluster token, and knows how to
-    build the child environment (token via :data:`ENV_TOKEN`, never
-    argv; ``PYTHONPATH`` extended so workers import :mod:`repro` the
-    same way the driver does).  :class:`DistributedRuntime` uses one
-    per job pool; the long-lived shared pool of :mod:`repro.serve`
-    uses one for the daemon's lifetime.
-    """
-
-    def __init__(self, *, heartbeat_interval: float = 0.5):
-        self.listener = Listener()
-        self.heartbeat_interval = heartbeat_interval
-        #: Random per-pool token; workers echo it back as a raw byte
-        #: preamble before anything is unpickled from their connection.
-        # repro-lint: disable=nondeterministic-call -- auth secret; never in results
-        self.token: bytes = secrets.token_hex(16).encode("ascii")
-        self._env: dict[str, str] | None = None
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self.listener.address
-
-    def _build_env(self) -> dict[str, str]:
-        env = os.environ.copy()
-        # The token travels via the environment, never argv — other
-        # local users can read a process's command line from /proc.
-        env[ENV_TOKEN] = self.token.decode("ascii")
-        # Workers must import repro the same way the driver does, even
-        # when it is not installed (PYTHONPATH=src checkouts).
-        import repro
-
-        package_root = str(Path(repro.__file__).resolve().parent.parent)
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (
-            package_root if not existing
-            else package_root + os.pathsep + existing
-        )
-        return env
-
-    def spawn(self, index: int) -> subprocess.Popen:
-        """Start one worker process that will connect back and
-        authenticate under ``index``."""
-        if self._env is None:
-            self._env = self._build_env()
-        host, port = self.listener.address
-        return subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.worker",
-                "--host", host, "--port", str(port),
-                "--index", str(index),
-                "--heartbeat-interval", str(self.heartbeat_interval),
-            ],
-            env=self._env,
-        )
-
-    def accept(self, timeout: float) -> tuple[int, Connection]:
-        """Wait for one worker to connect and authenticate.
-
-        Authentication happens on raw bytes, *before* the first pickled
-        message is read from the socket — an unauthenticated local peer
-        never gets attacker-controlled bytes into ``pickle.loads``.
-        Raises :class:`DistributedExecutionError` on a bad token or
-        hello, :class:`~repro.mapreduce.transport.TransportError` when
-        nothing connects in time.
-        """
-        conn = self.listener.accept(timeout=timeout)
-        preamble = conn.recv_raw(len(self.token), timeout=timeout)
-        if not secrets.compare_digest(preamble, self.token):
-            conn.close()
-            raise DistributedExecutionError(
-                "worker authentication failed: bad token preamble"
-            )
-        hello = conn.recv(timeout=timeout)
-        if (
-            not isinstance(hello, tuple)
-            or len(hello) != 3
-            or hello[0] != "hello"
-        ):
-            conn.close()
-            raise DistributedExecutionError(
-                "worker authentication failed: unexpected hello"
-            )
-        return hello[1], conn
-
-    def close(self) -> None:
-        self.listener.close()
-
-    def __repr__(self) -> str:
-        return f"WorkerLauncher(address={self.address})"
-
-
-class _Task:
-    """One in-flight task unit: its wire frame plus retry bookkeeping.
-
-    The message is encoded once at creation — a requeue re-sends the
-    identical frame, so retries cannot diverge from the first attempt.
-    """
-
-    __slots__ = ("task_id", "index", "unit", "frame", "attempts", "sent_at")
-
-    def __init__(self, task_id: int, index: int, unit: str, frame: bytes):
-        self.task_id = task_id
-        self.index = index
-        self.unit = unit
-        self.frame = frame
-        self.attempts = 0
-        self.sent_at = 0.0
-
-    def describe(self) -> str:
-        return f"{self.unit} task #{self.index}"
-
-
-class _WorkerHandle:
-    """Driver-side view of one worker process."""
-
-    __slots__ = ("index", "process", "conn", "task", "last_seen", "thread")
-
-    def __init__(self, index: int, process: subprocess.Popen, conn: Connection):
-        self.index = index
-        self.process = process
-        self.conn = conn
-        self.task: _Task | None = None
-        self.last_seen = time.monotonic()
-        self.thread: threading.Thread | None = None
-
-    def shutdown(self, *, kill: bool) -> None:
-        """Stop the process: graceful (``shutdown`` message + SIGTERM)
-        or immediate (SIGKILL, for hung/expired workers)."""
-        if not kill:
-            try:
-                self.conn.send(("shutdown",))
-            except TransportError:
-                pass
-        self.conn.close()
-        if self.process.poll() is None:
-            if kill:
-                self.process.kill()
-            else:
-                self.process.terminate()
-        try:
-            self.process.wait(timeout=5)
-        except subprocess.TimeoutExpired:
-            self.process.kill()
-            self.process.wait()
-
-
-class DistributedRuntime(LocalRuntime):
-    """Job executor that ships task units to worker processes.
-
-    Parameters
-    ----------
-    num_workers:
-        Worker processes to spawn (lazily, at the first task).
-    task_timeout:
-        Seconds one task may run on a worker before the worker is
-        presumed stuck, killed, and the task requeued.  ``None``
-        (default) disables the timeout — a heartbeating-but-hung worker
-        is then indistinguishable from a slow one.
-    max_task_retries:
-        How many times one task may be *requeued* after a worker loss
-        before the job fails (so a task runs at most
-        ``max_task_retries + 1`` times).
-    heartbeat_interval / heartbeat_timeout:
-        Workers send a liveness message every ``heartbeat_interval``
-        seconds; a worker silent for ``heartbeat_timeout`` seconds is
-        declared dead (its process may be frozen rather than exited).
-    startup_timeout:
-        How long to wait for all spawned workers to connect back.
-    max_worker_respawns:
-        How many replacement workers may be spawned over the runtime's
-        lifetime when workers are lost.  The default 0 keeps the
-        original semantics (the pool only shrinks); a positive budget
-        lets the pool heal — each lost worker is replaced by a fresh
-        process under a fresh index, and the requeue path is unchanged
-        (the replacement is simply one more survivor).
-
-    The job (strategy job, matcher, blocking function, BDM) must be
-    picklable — the same requirement as the parallel backend's process
-    pool.  Matcher instance state mutated in workers stays in the
-    workers; read per-run numbers from the job counters, which always
-    ship back with the task results.
+    Parameters are those of :class:`~repro.engine.pool.SharedWorkerPool`
+    (validated there, before anything is spawned), except that
+    ``max_worker_respawns`` defaults to 0: a one-run pool only shrinks
+    unless asked to heal.  Workers are spawned lazily, at the first
+    task unit, and live until :meth:`close` — both jobs of the workflow
+    pay startup once.
     """
 
     def __init__(
@@ -292,348 +48,32 @@ class DistributedRuntime(LocalRuntime):
         startup_timeout: float = 60.0,
         max_worker_respawns: int = 0,
     ):
-        super().__init__(dfs)
-        if num_workers <= 0:
-            raise ValueError(f"num_workers must be positive, got {num_workers}")
-        if task_timeout is not None and task_timeout <= 0:
-            raise ValueError(f"task_timeout must be positive, got {task_timeout}")
-        if max_task_retries < 0:
-            raise ValueError(
-                f"max_task_retries must be >= 0, got {max_task_retries}"
-            )
-        if heartbeat_interval <= 0:
-            raise ValueError(
-                f"heartbeat_interval must be positive, got {heartbeat_interval}"
-            )
-        if heartbeat_timeout is not None and heartbeat_timeout <= 0:
-            raise ValueError(
-                f"heartbeat_timeout must be positive, got {heartbeat_timeout}"
-            )
-        if max_worker_respawns < 0:
-            raise ValueError(
-                f"max_worker_respawns must be >= 0, got {max_worker_respawns}"
-            )
-        self.num_workers = num_workers
-        self.task_timeout = task_timeout
-        self.max_task_retries = max_task_retries
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_timeout = heartbeat_timeout
-        self.startup_timeout = startup_timeout
-        self.max_worker_respawns = max_worker_respawns
-        self._respawns_left = max_worker_respawns
-        self._workers: dict[int, _WorkerHandle] = {}
-        self._launcher: WorkerLauncher | None = None
-        self._started = False
-        #: Fresh indices for respawned workers (never reuses a dead
-        #: worker's slot, so late messages cannot be misattributed).
-        self._worker_indices = itertools.count(num_workers)
-        #: Receiver threads post ``(worker_index, message)`` here.
-        self._completions: "queue.Queue[tuple[int, tuple]]" = queue.Queue()
-        self._task_ids = itertools.count()
+        pool = SharedWorkerPool(
+            num_workers=num_workers,
+            task_timeout=task_timeout,
+            max_task_retries=max_task_retries,
+            heartbeat_interval=heartbeat_interval,
+            heartbeat_timeout=heartbeat_timeout,
+            startup_timeout=startup_timeout,
+            max_worker_respawns=max_worker_respawns,
+        )
+        super().__init__(pool, name="distributed", dfs=dfs)
+
+    def _run_calls(
+        self, calls: Iterable[TaskCall], sink: "Callable | None"
+    ) -> list:
+        self._pool.start()
+        return super()._run_calls(calls, sink)
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent)."""
-        for worker in list(self._workers.values()):
-            worker.shutdown(kill=False)
-        self._workers.clear()
-        if self._launcher is not None:
-            self._launcher.close()
-            self._launcher = None
+        self._pool.close()
 
     def __enter__(self) -> "DistributedRuntime":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # -- cluster bring-up ----------------------------------------------------
-
-    def _ensure_workers(self) -> None:
-        """Spawn and authenticate the worker pool on first use.
-
-        The pool lives for the runtime's lifetime (both jobs of the
-        workflow pay startup once).  Workers lost later are replaced
-        only within the ``max_worker_respawns`` budget (default 0) —
-        past it the pool shrinks, and a pool whose workers have *all*
-        been lost fails the job cleanly instead of deadlocking.
-        """
-        if self._started:
-            return
-        self._started = True
-        launcher = WorkerLauncher(heartbeat_interval=self.heartbeat_interval)
-        self._launcher = launcher
-        processes: dict[int, subprocess.Popen] = {}
-        try:
-            for index in range(self.num_workers):
-                processes[index] = launcher.spawn(index)
-            deadline = time.monotonic() + self.startup_timeout
-            for _ in range(self.num_workers):
-                remaining = max(0.1, deadline - time.monotonic())
-                try:
-                    index, conn = launcher.accept(timeout=remaining)
-                except TransportError as exc:
-                    exits = {
-                        i: proc.poll() for i, proc in processes.items()
-                    }
-                    raise DistributedExecutionError(
-                        f"worker startup failed: {exc} "
-                        f"(worker exit codes so far: {exits})"
-                    ) from exc
-                self._register_worker(index, processes[index], conn)
-        except BaseException:
-            for proc in processes.values():
-                if proc.poll() is None:
-                    proc.kill()
-            self.close()
-            raise
-
-    def _register_worker(
-        self, index: int, process: subprocess.Popen, conn: Connection
-    ) -> _WorkerHandle:
-        worker = _WorkerHandle(index, process, conn)
-        self._workers[index] = worker
-        thread = threading.Thread(
-            target=self._receive_loop,
-            args=(worker,),
-            name=f"repro-worker-recv-{index}",
-            daemon=True,
-        )
-        worker.thread = thread
-        thread.start()
-        return worker
-
-    def _respawn_worker(self) -> _WorkerHandle | None:
-        """Replace one lost worker, if the respawn budget allows.
-
-        A failed respawn (spawn error, startup timeout) consumes budget
-        and returns ``None`` — the pool simply stays smaller, exactly
-        as if no budget had been configured.
-        """
-        if self._respawns_left <= 0 or self._launcher is None:
-            return None
-        self._respawns_left -= 1
-        index = next(self._worker_indices)
-        process: subprocess.Popen | None = None
-        try:
-            process = self._launcher.spawn(index)
-            accepted_index, conn = self._launcher.accept(
-                timeout=self.startup_timeout
-            )
-            return self._register_worker(accepted_index, process, conn)
-        except (OSError, TransportError, DistributedExecutionError):
-            # Failed respawn: reap the half-started process and run on
-            # with one fewer worker.
-            if process is not None and process.poll() is None:
-                process.kill()
-            return None
-
-    def _receive_loop(self, worker: _WorkerHandle) -> None:
-        """Pump one worker's messages into the completion queue; a
-        broken stream becomes a synthetic ``died`` message."""
-        while True:
-            try:
-                message = worker.conn.recv()
-            # Deliberately broad: *any* receive failure — transport,
-            # truncated pickle, decode — means this worker is dead to
-            # the scheduler, which owns retry/respawn policy.
-            except Exception:  # repro-lint: disable=silent-except -- becomes a 'died' message
-                self._completions.put((worker.index, ("died",)))
-                return
-            self._completions.put((worker.index, message))
-
-    # -- scheduling ----------------------------------------------------------
-
-    def _run_calls(
-        self, calls: Iterable[TaskCall], sink: "Callable | None"
-    ) -> list:
-        """Distribute the task units, merging in task-index order.
-
-        This single override carries both phases of both jobs: the base
-        runtime routes ``_execute_map_tasks`` / ``_execute_reduce_tasks``
-        through here.  Calls are pulled lazily — one per idle worker —
-        so at most ``num_workers`` task payloads (reduce buckets
-        included) are materialized in flight, and the pull point is
-        where ``task-started`` events fire and cancellation is checked,
-        exactly as in every other runtime.  ``sink`` is applied to each
-        result in task-index order as the completed prefix grows.
-        """
-        self._ensure_workers()
-        drain = sink if sink is not None else (lambda result: result)
-        calls_iter = iter(calls)
-        exhausted = False
-        pulled = 0
-        completed = 0
-        next_index = 0
-        buffered: dict[int, Any] = {}
-        ordered: list = []
-        requeued: deque[_Task] = deque()
-
-        def next_task() -> _Task | None:
-            nonlocal exhausted, pulled
-            if requeued:
-                return requeued.popleft()
-            if exhausted:
-                return None
-            try:
-                fn, args = next(calls_iter)
-            except StopIteration:
-                exhausted = True
-                return None
-            unit = _UNIT_NAMES[fn]
-            task_id = next(self._task_ids)
-            task = _Task(task_id, pulled, unit,
-                         self._encode_task(task_id, unit, args))
-            pulled += 1
-            return task
-
-        while True:
-            for worker in [w for w in self._workers.values() if w.task is None]:
-                task = next_task()
-                if task is None:
-                    break
-                self._dispatch(worker, task, requeued)
-            if exhausted and not requeued and completed == pulled:
-                break
-            if not self._workers:
-                raise DistributedExecutionError(
-                    "all workers were lost with work remaining "
-                    f"({pulled - completed} task(s) unfinished)"
-                )
-            finished = self._wait_for_completion(requeued)
-            if finished is not None:
-                task, result = finished
-                buffered[task.index] = result
-                completed += 1
-                while next_index in buffered:
-                    ordered.append(drain(buffered.pop(next_index)))
-                    next_index += 1
-        return ordered
-
-    def _encode_task(self, task_id: int, unit: str, args: tuple) -> bytes:
-        try:
-            return encode_message(("task", task_id, unit, args))
-        except Exception as exc:
-            raise DistributedExecutionError(
-                "the distributed backend ships task units to worker "
-                f"processes, but this {unit} task cannot be pickled "
-                f"(job, matcher and blocking function must all support "
-                f"pickle): {exc!r}"
-            ) from exc
-
-    def _dispatch(
-        self, worker: _WorkerHandle, task: _Task, requeued: "deque[_Task]"
-    ) -> None:
-        worker.task = task
-        task.sent_at = time.monotonic()
-        try:
-            worker.conn.send_bytes(task.frame)
-        except TransportError:
-            self._fail_worker(worker, "connection failed at dispatch", requeued)
-
-    def _wait_for_completion(
-        self, requeued: "deque[_Task]"
-    ) -> "tuple[_Task, Any] | None":
-        """Handle one scheduling event; a finished task or ``None``.
-
-        Raises the remote exception for a failed task (deterministic
-        failures are not retried) and :class:`DistributedExecutionError`
-        when a loss exhausts the retry budget or the pool.
-        """
-        self._reap_expired(requeued)
-        try:
-            worker_index, message = self._completions.get(
-                timeout=self._tick()
-            )
-        except queue.Empty:
-            return None
-        worker = self._workers.get(worker_index)
-        if worker is None:
-            return None  # stale: that worker was already written off
-        worker.last_seen = time.monotonic()
-        kind = message[0]
-        if kind == "died":
-            self._fail_worker(worker, "worker process died", requeued)
-            return None
-        if kind in ("result", "error"):
-            task = worker.task
-            if task is None or task.task_id != message[1]:
-                return None  # stale reply for a task requeued elsewhere
-            worker.task = None
-            if kind == "error":
-                raise message[2]
-            return task, message[2]
-        return None  # heartbeat (or unknown chatter): liveness recorded
-
-    def _tick(self) -> float | None:
-        """How long the scheduler may block before a deadline needs
-        checking (``None`` = no deadlines configured, wait for events)."""
-        deadlines: list[float] = []
-        for worker in self._workers.values():
-            if self.heartbeat_timeout is not None:
-                deadlines.append(worker.last_seen + self.heartbeat_timeout)
-            if self.task_timeout is not None and worker.task is not None:
-                deadlines.append(worker.task.sent_at + self.task_timeout)
-        if not deadlines:
-            return None
-        return max(0.01, min(deadlines) - time.monotonic())
-
-    def _reap_expired(self, requeued: "deque[_Task]") -> None:
-        now = time.monotonic()
-        expired: list[tuple[_WorkerHandle, str]] = []
-        for worker in self._workers.values():
-            if (
-                self.task_timeout is not None
-                and worker.task is not None
-                and now - worker.task.sent_at > self.task_timeout
-            ):
-                expired.append((
-                    worker,
-                    f"{worker.task.describe()} exceeded "
-                    f"task_timeout={self.task_timeout}s",
-                ))
-            elif (
-                self.heartbeat_timeout is not None
-                and now - worker.last_seen > self.heartbeat_timeout
-            ):
-                expired.append((
-                    worker,
-                    f"no heartbeat for {self.heartbeat_timeout}s",
-                ))
-        for worker, reason in expired:
-            self._fail_worker(worker, reason, requeued)
-
-    def _fail_worker(
-        self, worker: _WorkerHandle, reason: str, requeued: "deque[_Task]"
-    ) -> None:
-        """Write a worker off: kill it, respawn within budget, requeue
-        its task (bounded).
-
-        Raising here fails the whole job — cleanup happens in
-        :meth:`close` via the backend's ``finally``.
-        """
-        self._workers.pop(worker.index, None)
-        task = worker.task
-        worker.task = None
-        worker.shutdown(kill=True)
-        # Heal the pool before deciding the task's fate: a successful
-        # respawn is one more survivor for the unchanged requeue path.
-        self._respawn_worker()
-        if task is None:
-            return
-        task.attempts += 1
-        if task.attempts > self.max_task_retries:
-            raise DistributedExecutionError(
-                f"{task.describe()} failed {task.attempts} time(s) and "
-                f"exhausted its retry budget "
-                f"(max_task_retries={self.max_task_retries}); "
-                f"last failure: worker {worker.index}: {reason}"
-            )
-        if not self._workers:
-            raise DistributedExecutionError(
-                f"worker {worker.index} was lost ({reason}) and no "
-                f"workers survive to retry {task.describe()}"
-            )
-        requeued.append(task)
 
 
 @register_backend

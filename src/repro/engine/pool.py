@@ -1,13 +1,21 @@
-"""The shared worker pool: many jobs, one set of worker processes.
+"""The worker pool: one scheduler for every out-of-process run.
 
-:class:`~repro.engine.distributed.DistributedRuntime` owns its workers
-for the lifetime of one job pool and schedules exactly one job at a
-time.  A server cannot afford either: startup cost must be paid once,
-and several clients' pipelines must make progress *simultaneously*.
-:class:`SharedWorkerPool` is the answer — the same worker processes,
-transport and failure taxonomy as the distributed backend, behind a
-scheduler that multiplexes task units from any number of concurrent
-jobs over one pool:
+This is the paper's deployment story made real at miniature scale: the
+whole point of BlockSplit/PairRange is that independent workers receive
+even shares of the comparison workload, and here the workers are
+independent OS processes.  :class:`SharedWorkerPool` listens on a
+loopback socket, spawns ``num_workers`` processes running ``python -m
+repro.worker``, and ships them the very same schedulable task units
+every other runtime executes —
+:func:`~repro.mapreduce.runtime.execute_map_task` /
+:func:`~repro.mapreduce.runtime.execute_reduce_task` — serialized over
+the length-prefixed framing of :mod:`repro.mapreduce.transport`.
+
+It is the only driver-side scheduler.  The ``"distributed"`` backend
+(:mod:`repro.engine.distributed`) is the one-job case — a private pool
+that lives for one run — and the :mod:`repro.serve` daemon the many-job
+case — one long-lived pool multiplexing task units from any number of
+concurrent jobs:
 
 * **Fair interleaving** — dispatch rotates round-robin over the jobs
   that have runnable task units, so a large job cannot starve a small
@@ -16,59 +24,198 @@ jobs over one pool:
   budget after worker losses, fails *its* job only; every other job
   keeps running.  Cancelling a job drops its queued task units and
   discards results of its in-flight ones.
-* **Pool healing** — a lost worker is killed, its task requeued
-  (bounded per task by ``max_task_retries``, exactly the distributed
-  backend's rule), and a replacement spawned within the pool-level
-  ``max_worker_respawns`` budget.  Only when the pool empties out with
-  no budget left do the active jobs fail.
 
 All scheduler state is owned by one thread; job channels and worker
 receiver threads communicate with it exclusively through the inbox
 queue, so there are no locks to get wrong.
 
-Determinism per job is preserved exactly as in the distributed
-backend: each job's task units are pulled in submission order, at most
-``num_workers`` in flight per job, and merged in task-index order by
-:class:`PooledRuntime` — so a job's matches, counters and event stream
-are byte-identical to the serial backend no matter how many neighbours
-it shares the pool with.
+Determinism per job is preserved by construction:
+
+* task units are pure (no shared state; side outputs ride back on the
+  result and are applied by the job's driver, in task order);
+* each job's task units are *pulled* in submission order, at most
+  ``num_workers`` in flight per job (so ``task-started`` events and
+  cancellation checks fire exactly as in the serial runtime);
+* results are merged and drained through the sink in **task-index
+  order** by :class:`PooledRuntime`, whatever order workers finish in.
+
+So a job's matches, counters, per-task statistics and execution-event
+stream are byte-identical to the serial backend no matter how many
+neighbours it shares the pool with — proven per strategy ×
+source-arity × memory budget in ``tests/engine/test_distributed.py``.
+
+Fault tolerance (the part a networked backend cannot skip):
+
+* every worker heartbeats; a silent worker is declared dead after
+  ``heartbeat_timeout`` seconds;
+* a worker whose connection drops (crash) or whose current task
+  exceeds ``task_timeout`` is killed and its task is **requeued** to
+  the front of its job's queue — at most ``max_task_retries`` times,
+  then that job fails with a clean :class:`DistributedExecutionError`;
+* a lost worker is **respawned** — a fresh process under a fresh
+  index — within the pool-level ``max_worker_respawns`` budget.  Past
+  it the pool shrinks, and only when it empties out do the active
+  jobs fail (:class:`WorkerPoolError`);
+* a task that *raises* is not retried (the failure is deterministic);
+  the remote exception propagates to the job's driver exactly like
+  the in-process backends propagate theirs;
+* a late result from a worker that was already declared dead is
+  discarded by task id, so a requeued task can never be double-counted.
+
+``tests/engine/test_fault_injection.py`` drives all of this with real
+injected crashes and hangs (see the env hooks in :mod:`repro.worker`),
+through the distributed backend and through a pool shared with a
+second, healthy job.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import queue
+import secrets
 import subprocess
+import sys
 import threading
 import time
 from collections import deque
+from pathlib import Path
 from typing import Any, Callable, Iterable
 
-from ..engine.distributed import (
-    DistributedExecutionError,
-    WorkerLauncher,
-    _Task,
-    _WorkerHandle,
+from ..mapreduce.dfs import DistributedFileSystem
+from ..mapreduce.runtime import LocalRuntime, TaskCall
+from ..mapreduce.transport import (
+    ENV_TOKEN,
+    Connection,
+    Listener,
+    TransportError,
+    encode_message,
 )
-from ..engine.executing import ExecutingBackendBase
-from ..mapreduce.runtime import (
-    LocalRuntime,
-    TaskCall,
-    execute_map_task,
-    execute_reduce_task,
-)
-from ..mapreduce.transport import TransportError, encode_message
+from .executing import ExecutingBackendBase
 
-#: Task-unit functions → wire names (same registry as repro.worker).
-_UNIT_NAMES: dict[Callable[..., Any], str] = {
-    execute_map_task: "map",
-    execute_reduce_task: "reduce",
-}
+
+class DistributedExecutionError(RuntimeError):
+    """Worker processes could not finish a job: workers were lost
+    faster than tasks could be retried, a task cannot be shipped, or a
+    task exhausted its retry budget."""
 
 
 class WorkerPoolError(DistributedExecutionError):
-    """The shared pool itself is unusable (startup failed, every worker
-    lost with no respawn budget left, or the pool was closed)."""
+    """The pool itself is unusable (startup failed, every worker lost
+    with no respawn budget left, or the pool was closed)."""
+
+
+class WorkerLauncher:
+    """Spawns and authenticates ``python -m repro.worker`` processes.
+
+    Owns the accept socket and the per-cluster token, and knows how to
+    build the child environment (token via :data:`ENV_TOKEN`, never
+    argv; ``PYTHONPATH`` extended so workers import :mod:`repro` the
+    same way the driver does).  A :class:`SharedWorkerPool` holds one
+    for its lifetime.
+    """
+
+    def __init__(self, *, heartbeat_interval: float = 0.5):
+        self.listener = Listener()
+        self.heartbeat_interval = heartbeat_interval
+        #: Random per-pool token; workers echo it back as a raw byte
+        #: preamble before anything is unpickled from their connection.
+        # repro-lint: disable=nondeterministic-call -- auth secret; never in results
+        self.token: bytes = secrets.token_hex(16).encode("ascii")
+        self._env: dict[str, str] | None = None
+
+    @property
+    def address(self) -> tuple[str, int]:
+        return self.listener.address
+
+    def _build_env(self) -> dict[str, str]:
+        env = os.environ.copy()
+        # The token travels via the environment, never argv — other
+        # local users can read a process's command line from /proc.
+        env[ENV_TOKEN] = self.token.decode("ascii")
+        # Workers must import repro the same way the driver does, even
+        # when it is not installed (PYTHONPATH=src checkouts).
+        import repro
+
+        package_root = str(Path(repro.__file__).resolve().parent.parent)
+        existing = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = (
+            package_root if not existing
+            else package_root + os.pathsep + existing
+        )
+        return env
+
+    def spawn(self, index: int) -> subprocess.Popen:
+        """Start one worker process that will connect back and
+        authenticate under ``index``."""
+        if self._env is None:
+            self._env = self._build_env()
+        host, port = self.listener.address
+        return subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.worker",
+                "--host", host, "--port", str(port),
+                "--index", str(index),
+                "--heartbeat-interval", str(self.heartbeat_interval),
+            ],
+            env=self._env,
+        )
+
+    def accept(self, timeout: float) -> tuple[int, Connection]:
+        """Wait for one worker to connect and authenticate.
+
+        Authentication happens on raw bytes, *before* the first pickled
+        message is read from the socket — an unauthenticated local peer
+        never gets attacker-controlled bytes into ``pickle.loads``.
+        Raises :class:`DistributedExecutionError` on a bad token or
+        hello, :class:`~repro.mapreduce.transport.TransportError` when
+        nothing connects in time.
+        """
+        conn = self.listener.accept(timeout=timeout)
+        preamble = conn.recv_raw(len(self.token), timeout=timeout)
+        if not secrets.compare_digest(preamble, self.token):
+            conn.close()
+            raise DistributedExecutionError(
+                "worker authentication failed: bad token preamble"
+            )
+        hello = conn.recv(timeout=timeout)
+        if (
+            not isinstance(hello, tuple)
+            or len(hello) != 3
+            or hello[0] != "hello"
+        ):
+            conn.close()
+            raise DistributedExecutionError(
+                "worker authentication failed: unexpected hello"
+            )
+        return hello[1], conn
+
+    def close(self) -> None:
+        self.listener.close()
+
+    def __repr__(self) -> str:
+        return f"WorkerLauncher(address={self.address})"
+
+
+class _Task:
+    """One in-flight task unit: its wire frame plus retry bookkeeping.
+
+    The message is encoded once at creation — a requeue re-sends the
+    identical frame, so retries cannot diverge from the first attempt.
+    """
+
+    __slots__ = ("task_id", "index", "unit", "frame", "attempts", "sent_at")
+
+    def __init__(self, task_id: int, index: int, unit: str, frame: bytes):
+        self.task_id = task_id
+        self.index = index
+        self.unit = unit
+        self.frame = frame
+        self.attempts = 0
+        self.sent_at = 0.0
+
+    def describe(self) -> str:
+        return f"{self.unit} task #{self.index}"
 
 
 class _PoolJob:
@@ -87,8 +234,43 @@ class _PoolJob:
         self.closed = False
 
 
+class _WorkerHandle:
+    """Scheduler-side view of one worker process."""
+
+    __slots__ = ("index", "process", "conn", "task", "last_seen", "thread")
+
+    def __init__(self, index: int, process: subprocess.Popen, conn: Connection):
+        self.index = index
+        self.process = process
+        self.conn = conn
+        #: The task unit running on this worker and the job it belongs to.
+        self.task: tuple[_PoolJob, _Task] | None = None
+        self.last_seen = time.monotonic()
+        self.thread: threading.Thread | None = None
+
+    def shutdown(self, *, kill: bool) -> None:
+        """Stop the process: graceful (``shutdown`` message + SIGTERM)
+        or immediate (SIGKILL, for hung/expired workers)."""
+        if not kill:
+            try:
+                self.conn.send(("shutdown",))
+            except TransportError:
+                pass
+        self.conn.close()
+        if self.process.poll() is None:
+            if kill:
+                self.process.kill()
+            else:
+                self.process.terminate()
+        try:
+            self.process.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            self.process.kill()
+            self.process.wait()
+
+
 class PoolJobChannel:
-    """One job's handle on the shared pool.
+    """One job's handle on the pool.
 
     Created by :meth:`SharedWorkerPool.open_job`; used from the job's
     driver thread.  ``submit`` enqueues one task unit, ordered
@@ -118,10 +300,9 @@ class PoolJobChannel:
             frame = encode_message(("task", task_id, unit, args))
         except Exception as exc:
             raise DistributedExecutionError(
-                "the shared worker pool ships task units to worker "
-                f"processes, but this {unit} task cannot be pickled "
-                f"(job, matcher and blocking function must all support "
-                f"pickle): {exc!r}"
+                "task units ship to worker processes, but this "
+                f"{unit} task cannot be pickled (job, matcher and "
+                f"blocking function must all support pickle): {exc!r}"
             ) from exc
         self._pool._post(("submit", self._job, _Task(task_id, index, unit, frame)))
 
@@ -145,13 +326,32 @@ class PoolJobChannel:
 
 
 class SharedWorkerPool:
-    """A long-lived pool of worker processes shared by many jobs.
+    """A pool of worker processes shared by any number of jobs.
 
-    Parameters mirror :class:`~repro.engine.distributed.
-    DistributedRuntime` — same worker protocol, same failure rules —
-    plus a pool-level ``max_worker_respawns`` budget, which defaults
-    to ``2 * num_workers`` (a server pool should heal; pass 0 to
-    disable).
+    Parameters
+    ----------
+    num_workers:
+        Worker processes to spawn (by :meth:`start`).
+    task_timeout:
+        Seconds one task may run on a worker before the worker is
+        presumed stuck, killed, and the task requeued.  ``None``
+        (default) disables the timeout — a heartbeating-but-hung worker
+        is then indistinguishable from a slow one.
+    max_task_retries:
+        How many times one task may be *requeued* after a worker loss
+        before its job fails (so a task runs at most
+        ``max_task_retries + 1`` times).
+    heartbeat_interval / heartbeat_timeout:
+        Workers send a liveness message every ``heartbeat_interval``
+        seconds; a worker silent for ``heartbeat_timeout`` seconds is
+        declared dead (its process may be frozen rather than exited).
+    startup_timeout:
+        How long to wait for all spawned workers to connect back.
+    max_worker_respawns:
+        How many replacement workers may be spawned over the pool's
+        lifetime when workers are lost — each a fresh process under a
+        fresh index.  Defaults to ``2 * num_workers`` (a server pool
+        should heal); 0 means the pool only shrinks.
     """
 
     def __init__(
@@ -167,6 +367,24 @@ class SharedWorkerPool:
     ):
         if num_workers <= 0:
             raise ValueError(f"num_workers must be positive, got {num_workers}")
+        if task_timeout is not None and task_timeout <= 0:
+            raise ValueError(f"task_timeout must be positive, got {task_timeout}")
+        if max_task_retries < 0:
+            raise ValueError(
+                f"max_task_retries must be >= 0, got {max_task_retries}"
+            )
+        if heartbeat_interval <= 0:
+            raise ValueError(
+                f"heartbeat_interval must be positive, got {heartbeat_interval}"
+            )
+        if heartbeat_timeout is not None and heartbeat_timeout <= 0:
+            raise ValueError(
+                f"heartbeat_timeout must be positive, got {heartbeat_timeout}"
+            )
+        if max_worker_respawns is not None and max_worker_respawns < 0:
+            raise ValueError(
+                f"max_worker_respawns must be >= 0, got {max_worker_respawns}"
+            )
         self.num_workers = num_workers
         self.task_timeout = task_timeout
         self.max_task_retries = max_task_retries
@@ -185,6 +403,8 @@ class SharedWorkerPool:
         self._inbox: "queue.Queue[tuple]" = queue.Queue()
         self._job_ids = itertools.count()
         self._task_ids = itertools.count()
+        #: Fresh indices for respawned workers (never reuses a dead
+        #: worker's slot, so late messages cannot be misattributed).
         self._worker_indices = itertools.count(num_workers)
         self._scheduler: threading.Thread | None = None
         self._broken: BaseException | None = None
@@ -225,7 +445,7 @@ class SharedWorkerPool:
             self._launcher = None
             raise
         self._scheduler = threading.Thread(
-            target=self._run_scheduler, name="repro-serve-pool", daemon=True
+            target=self._run_scheduler, name="repro-pool-scheduler", daemon=True
         )
         self._scheduler.start()
         return self
@@ -238,16 +458,21 @@ class SharedWorkerPool:
         if self._closed:
             return
         self._closed = True
-        if self._scheduler is not None:
+        scheduler, self._scheduler = self._scheduler, None
+        if scheduler is not None:
             self._post(("stop",))
-            self._scheduler.join(timeout=30)
-            self._scheduler = None
+            scheduler.join(timeout=30)
         for worker in list(self._workers.values()):
             worker.shutdown(kill=False)
         self._workers.clear()
         if self._launcher is not None:
             self._launcher.close()
             self._launcher = None
+        if scheduler is not None and scheduler.is_alive():
+            raise WorkerPoolError(
+                "the pool scheduler thread did not stop within 30s of "
+                "close(); its workers were shut down regardless"
+            )
 
     def __enter__(self) -> "SharedWorkerPool":
         return self.start()
@@ -274,20 +499,22 @@ class SharedWorkerPool:
         self._inbox.put(message)
 
     def _register_worker(
-        self, index: int, process: subprocess.Popen, conn
+        self, index: int, process: subprocess.Popen, conn: Connection
     ) -> None:
         worker = _WorkerHandle(index, process, conn)
         self._workers[index] = worker
         thread = threading.Thread(
             target=self._receive_loop,
             args=(worker,),
-            name=f"repro-serve-recv-{index}",
+            name=f"repro-pool-recv-{index}",
             daemon=True,
         )
         worker.thread = thread
         thread.start()
 
     def _receive_loop(self, worker: _WorkerHandle) -> None:
+        """Pump one worker's messages into the inbox; a broken stream
+        becomes a synthetic ``died`` message."""
         while True:
             try:
                 message = worker.conn.recv()
@@ -403,6 +630,8 @@ class SharedWorkerPool:
     # -- failure handling ----------------------------------------------------
 
     def _tick(self) -> float | None:
+        """How long the scheduler may block before a deadline needs
+        checking (``None`` = no deadlines configured, wait for events)."""
         deadlines: list[float] = []
         for worker in self._workers.values():
             if self.heartbeat_timeout is not None:
@@ -446,6 +675,8 @@ class SharedWorkerPool:
         assignment = worker.task
         worker.task = None
         worker.shutdown(kill=True)
+        # Heal the pool before deciding the task's fate: a successful
+        # respawn is one more survivor for the unchanged requeue path.
         self._respawn_worker()
         if assignment is not None:
             job, task = assignment
@@ -465,7 +696,7 @@ class SharedWorkerPool:
                         self._rotation.append(job)
         if not self._workers:
             self._broken = WorkerPoolError(
-                f"every pool worker was lost (last: worker "
+                f"all workers were lost (last: worker "
                 f"{worker.index}: {reason}) and the respawn budget "
                 f"(max_worker_respawns={self.max_worker_respawns}) "
                 f"is exhausted"
@@ -473,6 +704,12 @@ class SharedWorkerPool:
             self._fail_all_jobs(self._broken)
 
     def _respawn_worker(self) -> None:
+        """Replace one lost worker, if the respawn budget allows.
+
+        A failed respawn (spawn error, startup timeout) consumes budget
+        and the pool simply stays smaller, exactly as if no budget had
+        been configured.
+        """
         if self._respawns_left <= 0 or self._launcher is None:
             return
         self._respawns_left -= 1
@@ -502,21 +739,44 @@ class SharedWorkerPool:
         )
 
 
+def _unit_names() -> dict[Callable[..., Any], str]:
+    """Task-unit function → the name the wire protocol ships, derived
+    from the worker's registry (the one place units are listed)."""
+    # Imported here, not at module level: worker processes run
+    # ``repro.worker`` as ``__main__`` after importing this package, and
+    # runpy warns when the module it is about to run is already loaded.
+    from ..worker import TASK_UNITS
+
+    return {fn: name for name, fn in TASK_UNITS.items()}
+
+
 class PooledRuntime(LocalRuntime):
     """A job executor whose task units run on a :class:`SharedWorkerPool`.
 
-    One runtime = one job on the pool.  Scheduling semantics match
-    :class:`~repro.engine.distributed.DistributedRuntime` exactly from
-    the job's point of view: task units are pulled lazily in submission
-    order (``task-started`` events and cancellation checks fire at the
-    pull, at most ``num_workers`` payloads of this job in flight) and
-    results are merged — and drained through the sink — in task-index
-    order.  What order the *pool* runs them in, interleaved with other
-    jobs, is invisible to the result.
+    One runtime = one job on the pool.  This single ``_run_calls``
+    override carries both phases of both jobs of the workflow: task
+    units are pulled lazily in submission order (``task-started``
+    events and cancellation checks fire at the pull, at most
+    ``num_workers`` payloads of this job in flight — reduce buckets
+    included) and results are merged — and drained through the sink —
+    in task-index order.  What order the *pool* runs them in,
+    interleaved with other jobs, is invisible to the result.
+
+    The job (strategy job, matcher, blocking function, BDM) must be
+    picklable — the same requirement as the parallel backend's process
+    pool.  Matcher instance state mutated in workers stays in the
+    workers; read per-run numbers from the job counters, which always
+    ship back with the task results.
     """
 
-    def __init__(self, pool: SharedWorkerPool, *, name: str = "job"):
-        super().__init__()
+    def __init__(
+        self,
+        pool: SharedWorkerPool,
+        *,
+        name: str = "job",
+        dfs: DistributedFileSystem | None = None,
+    ):
+        super().__init__(dfs)
         self._pool = pool
         self._name = name
 
@@ -539,6 +799,7 @@ class PooledRuntime(LocalRuntime):
         sink: "Callable | None",
     ) -> list:
         drain = sink if sink is not None else (lambda result: result)
+        unit_names = _unit_names()
         window = self._pool.num_workers
         calls_iter = iter(calls)
         exhausted = False
@@ -554,7 +815,7 @@ class PooledRuntime(LocalRuntime):
                 except StopIteration:
                     exhausted = True
                     break
-                channel.submit(_UNIT_NAMES[fn], pulled, args)
+                channel.submit(unit_names[fn], pulled, args)
                 pulled += 1
             if exhausted and completed == pulled:
                 return ordered
@@ -567,7 +828,7 @@ class PooledRuntime(LocalRuntime):
 
 
 class PooledBackend(ExecutingBackendBase):
-    """Executes pipeline requests on a shared pool it does **not** own.
+    """Executes pipeline requests on a pool it does **not** own.
 
     This is the server's execution backend: every submitted job gets a
     fresh :class:`PooledRuntime` (fresh per-job DFS, exactly like every

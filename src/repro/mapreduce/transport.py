@@ -1,15 +1,16 @@
-"""Length-prefixed message framing for the distributed runtime.
+"""Length-prefixed message framing for the worker pool and the service.
 
-The distributed backend moves whole Python objects — schedulable task
-units and their results — between the driver and its worker processes
-over localhost TCP sockets.  This module is the wire layer both sides
+The worker pool (behind the distributed backend and the serve daemon)
+moves whole Python objects — schedulable task units and their results
+— between the driver and its worker processes over localhost TCP
+sockets; the serve daemon's client protocol rides on the same framing.  This module is the wire layer both sides
 share: a message is one pickle, framed by an 8-byte big-endian length
 prefix, so the stream needs no delimiters and arbitrarily large task
 payloads (a reduce bucket, a matching job with its BDM) travel intact.
 
 The layer is deliberately dumb.  It knows nothing about tasks,
 heartbeats or retries — those are protocol conventions of
-:mod:`repro.engine.distributed` (driver side) and :mod:`repro.worker`
+:mod:`repro.engine.pool` (driver side) and :mod:`repro.worker`
 (worker side).  What it does guarantee:
 
 * **Framing** — :meth:`Connection.send` is atomic per message (one
@@ -190,7 +191,7 @@ class Connection:
 class Listener:
     """An accept socket for the pickled-message protocol.
 
-    The distributed driver uses the defaults (loopback only, ephemeral
+    The worker pool uses the defaults (loopback only, ephemeral
     port); the serve daemon passes an explicit ``port`` (and possibly
     a non-loopback ``host``) so clients can find it.
     """
@@ -216,6 +217,14 @@ class Listener:
         return Connection(sock)
 
     def close(self) -> None:
+        """Stop listening; a thread blocked in :meth:`accept` unblocks
+        with :class:`OSError`."""
+        # close() alone does not wake a thread inside accept() on
+        # Linux; shutdown() does.
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._sock.close()
 
     def __repr__(self) -> str:

@@ -34,7 +34,7 @@ from .client import (
     ServeConnectionError,
     SubmissionRejected,
 )
-from .pool import (
+from ..engine.pool import (
     PooledBackend,
     PooledRuntime,
     PoolJobChannel,

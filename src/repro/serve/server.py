@@ -1,13 +1,13 @@
 """The ER service daemon: one worker pool, many concurrent jobs.
 
 :class:`ERServer` is the paper's driver turned into a long-running
-service.  It owns one :class:`~repro.serve.pool.SharedWorkerPool`
+service.  It owns one :class:`~repro.engine.pool.SharedWorkerPool`
 (startup paid once, healed on worker loss) and a TCP front end speaking
 the protocol of :mod:`repro.serve.protocol`: any number of clients
 connect, authenticate, and submit :class:`~repro.engine.backend.
 PipelineRequest`\\ s; every submission becomes a server-side
 :class:`~repro.engine.execution.PipelineExecution` on a
-:class:`~repro.serve.pool.PooledBackend`, so all active jobs multiplex
+:class:`~repro.engine.pool.PooledBackend`, so all active jobs multiplex
 their task units over the one pool with fair scheduling — and each
 client still gets the full execution surface remotely: ordered events
 (streamed matches included), progress, cooperative cancel, and the
@@ -44,13 +44,13 @@ from typing import Any
 
 from ..engine.backend import DeltaSpec, PipelineRequest
 from ..engine.execution import PipelineExecution
+from ..engine.pool import PooledBackend, SharedWorkerPool
 from ..mapreduce.events import ExecutionEvent
 from ..mapreduce.transport import (
     Connection,
     Listener,
     TransportError,
 )
-from .pool import SharedWorkerPool
 from .protocol import TOKEN_BYTES, encode_token, service_token, wire_event
 
 
@@ -266,10 +266,16 @@ class ERServer:
             time.sleep(0.01)
         for session in sessions:
             session.conn.close()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=10)
-            self._accept_thread = None
+        accept_thread, self._accept_thread = self._accept_thread, None
+        if accept_thread is not None:
+            accept_thread.join(timeout=10)
         self._pool.close()
+        # Closing the listener wakes accept(); a thread still in it now
+        # is a bug to surface, not a timeout to let pass.
+        if accept_thread is not None and accept_thread.is_alive():
+            raise RuntimeError(
+                "the accept thread did not stop within 10s of shutdown()"
+            )
 
     def __enter__(self) -> "ERServer":
         return self.start()
@@ -395,8 +401,6 @@ class ERServer:
                 f"expected a PipelineRequest, got {type(request).__name__}",
             ))
             return
-        from .pool import PooledBackend  # local: avoid cycle at import
-
         job_id = next(self._job_ids)
         job = _ServedJob(
             job_id=job_id,
@@ -553,7 +557,6 @@ class ERServer:
         from ..engine.incremental import CorpusState
         from ..engine.persistence import STATE_FILE, load_state, save_state
         from ..mapreduce.transport import shippable_exception
-        from .pool import PooledBackend
 
         if self.state_root is None or job.state_name is None:
             raise RuntimeError(

@@ -1,12 +1,13 @@
-"""The distributed backend's worker process (``python -m repro.worker``).
+"""The worker process of the worker pool (``python -m repro.worker``).
 
 A worker is the remote half of
-:class:`~repro.engine.distributed.DistributedRuntime`: it connects back
-to the driver's loopback socket, authenticates with the per-cluster
-token, and then loops — receive one task message, run the named task
-unit (:func:`~repro.mapreduce.runtime.execute_map_task` or
-:func:`~repro.mapreduce.runtime.execute_reduce_task`), send the result
-back.  Task units are pure with respect to the worker, so the driver
+:class:`~repro.engine.pool.SharedWorkerPool` — the scheduler behind
+both the distributed backend and the serve daemon, "the driver" below:
+it connects back to the driver's loopback socket, authenticates with
+the per-cluster token, and then loops — receive one task message, run
+the named task unit (:func:`~repro.mapreduce.runtime.execute_map_task`
+or :func:`~repro.mapreduce.runtime.execute_reduce_task`), send the
+result back.  Task units are pure with respect to the worker, so the driver
 can merge results in task-index order and requeue a lost task on a
 different worker without any cleanup protocol.
 
@@ -77,6 +78,8 @@ from .mapreduce.transport import (
 )
 
 #: Task-unit registry: the driver names units, it never ships code.
+#: The only such table — the driver inverts it to name the units it
+#: ships (``repro.engine.pool``), so the two sides cannot drift.
 TASK_UNITS = {
     "map": execute_map_task,
     "reduce": execute_reduce_task,
@@ -189,8 +192,8 @@ def serve(conn: Connection, fault: FaultInjector) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.worker",
-        description="Worker process of the distributed execution backend "
-        "(spawned by DistributedRuntime; not meant for manual use).",
+        description="Worker process of the distributed backend and the "
+        "serve daemon (spawned by SharedWorkerPool; not meant for manual use).",
     )
     parser.add_argument("--host", required=True)
     parser.add_argument("--port", type=int, required=True)
@@ -202,7 +205,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if not token:
         raise SystemExit(
             f"{ENV_TOKEN} must carry the cluster token "
-            "(this process is spawned by DistributedRuntime)"
+            "(this process is spawned by SharedWorkerPool)"
         )
 
     conn = connect(args.host, args.port)

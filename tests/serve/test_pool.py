@@ -13,14 +13,15 @@ import pytest
 
 from repro.datasets.generators import generate_products
 from repro.engine import ERPipeline
-from repro.er.blocking import PrefixBlocking
-from repro.er.matching import ThresholdMatcher
-from repro.serve.pool import (
+from repro.engine.pool import (
     PooledBackend,
     SharedWorkerPool,
     WorkerPoolError,
     _PoolJob,
 )
+from repro.er.blocking import PrefixBlocking
+from repro.er.matching import ThresholdMatcher
+from repro.serve import ERServer
 
 from .matchers import ExplodingMatcher
 
@@ -154,6 +155,23 @@ class TestLifecycle:
         pool.close()
         pool.close()
 
-    def test_invalid_worker_count_rejected(self):
-        with pytest.raises(ValueError, match="num_workers"):
-            SharedWorkerPool(num_workers=0)
+    @pytest.mark.parametrize("owner", [SharedWorkerPool, ERServer])
+    @pytest.mark.parametrize("option, value", [
+        ("num_workers", 0),
+        ("task_timeout", 0),
+        ("max_task_retries", -1),
+        ("heartbeat_interval", 0),
+        ("heartbeat_timeout", 0),
+        ("max_worker_respawns", -1),
+    ])
+    def test_bad_options_rejected_before_anything_spawns(
+        self, monkeypatch, owner, option, value
+    ):
+        spawned = []
+        monkeypatch.setattr(
+            "repro.engine.pool.subprocess.Popen",
+            lambda *args, **kwargs: spawned.append(args),
+        )
+        with pytest.raises(ValueError, match=option):
+            owner(**{option: value})
+        assert spawned == []

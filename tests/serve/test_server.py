@@ -13,6 +13,7 @@ import json
 import pickle
 import socket
 import struct
+import threading
 import time
 
 import pytest
@@ -56,6 +57,16 @@ def _fingerprint(result):
         result.job2.counters.as_dict(),
         None if result.job1 is None else result.job1.counters.as_dict(),
     )
+
+
+def _service_threads(since):
+    """Live daemon/pool threads that are not in the ``since`` snapshot
+    (the module-scoped ``server`` fixture keeps its own running)."""
+    return [
+        thread.name for thread in threading.enumerate()
+        if thread not in since
+        and thread.name.startswith(("repro-serve-", "repro-pool-"))
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -277,6 +288,22 @@ class TestShutdown:
         finally:
             client.close()
             server.shutdown()
+
+    def test_idle_shutdown_is_prompt_and_leaves_no_threads(self):
+        # Closing the listener must wake the accept thread: an idle
+        # daemon used to sit out the full 10 s join timeout here.
+        before = threading.enumerate()
+        server = ERServer(num_workers=1, token=TOKEN).start()
+        assert _service_threads(before)
+        began = time.monotonic()
+        server.shutdown()
+        assert time.monotonic() - began < 1.0
+        # Receiver threads exit on their closed connection, just after
+        # shutdown() returns.
+        deadline = time.monotonic() + 1.0
+        while _service_threads(before) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert _service_threads(before) == []
 
     def test_refused_connection_after_shutdown(self):
         server = ERServer(num_workers=1, token=TOKEN).start()
