@@ -407,23 +407,21 @@ def bench_micro_batch_kernel(small: bool) -> dict:
 # ---------------------------------------------------------------------------
 
 
-class _myers_lanes:
-    """Temporarily raise the batched-Myers lane floor (``1 << 60``
-    disables the batched recurrence, reverting to the per-distinct
-    scalar Myers loop — the pre-batched configuration)."""
-
-    def __init__(self, min_lanes: int):
-        self.min_lanes = min_lanes
+class _stdlib_kernel:
+    """Temporarily blank the batch kernel's numpy handle, so
+    ``score_pair_batch`` runs its pure-stdlib loop — the same distinct-
+    pair collapse with one scalar Myers call per distinct pair, i.e.
+    the configuration before the batched recurrence."""
 
     def __enter__(self):
         import repro.er.batch_kernel as bk
 
         self._bk = bk
-        self._saved = bk.MYERS_MIN_LANES
-        bk.MYERS_MIN_LANES = self.min_lanes
+        self._saved = bk._numpy
+        bk._numpy = None
 
     def __exit__(self, *exc):
-        self._bk.MYERS_MIN_LANES = self._saved
+        self._bk._numpy = self._saved
 
 
 def bench_micro_myers_batch(small: bool) -> dict:
@@ -437,11 +435,10 @@ def bench_micro_myers_batch(small: bool) -> dict:
     # recurrence targets.  Unlike the batch-kernel micro above (mostly
     # verbatim repeats that settle in the equality filter), here nearly
     # every entity is a typo'd variant, so the surviving work is tens of
-    # thousands of *distinct* Myers calls.  Before = the batch kernel
-    # with the batched recurrence disabled (PR 8's per-distinct scalar
-    # Myers loop); after = the same kernel routing survivor lanes
-    # through ``myers_distance_batch``.  Matches, counters and the
-    # residual memo cache must stay byte-identical either way.
+    # thousands of *distinct* Myers calls.  Before = the batch kernel's
+    # stdlib loop (PR 8's per-distinct scalar Myers); after = the same
+    # call routing survivor lanes through ``myers_distance_lanes`` (the
+    # two coincide without numpy).  Scores must be identical either way.
     n = 150 if small else 400
     rng = random.Random(SEED % 821)
     words = ["widget", "gadget", "sprocket", "flange", "gizmo",
@@ -470,12 +467,10 @@ def bench_micro_myers_batch(small: bool) -> dict:
     repeats = 2 if small else 5
 
     def run(batched_myers: bool):
-        with _myers_lanes(4 if batched_myers else 1 << 60):
-            cache: dict = {}
-            scores, hits, misses = score_pair_batch(
-                texts, spec, THRESHOLD, cache=cache, memoize=4096
-            )
-            return list(scores), hits, misses, list(cache.items())
+        if batched_myers:
+            return [float(s) for s in score_pair_batch(texts, spec, THRESHOLD)]
+        with _stdlib_kernel():
+            return score_pair_batch(texts, spec, THRESHOLD)
 
     functional_ok = run(False) == run(True)
     before = best_of(lambda: run(False), repeats)
@@ -728,20 +723,23 @@ def _noisy_feed(num_base: int, typo_factor: float, seed: int) -> list[Entity]:
 
 def bench_e2e_myers(strategy: str, num_base: int, small: bool) -> dict:
     """End-to-end on the near-duplicate-heavy corpus: batch kernel both
-    ways, batched Myers recurrence off (before) vs on (after)."""
+    ways, its per-distinct scalar Myers loop (before) vs the batched
+    recurrence (after)."""
     entities = _noisy_feed(num_base, 1.0, SEED % 1000)
     m, r = (3, 5) if small else (4, 10)
 
     def run(batched_myers: bool):
-        with _myers_lanes(4 if batched_myers else 1 << 60):
-            pipeline = ERPipeline(
-                strategy,
-                PrefixBlocking("title"),
-                ThresholdMatcher("title", THRESHOLD),
-                num_map_tasks=m,
-                num_reduce_tasks=r,
-                batch_kernel=True,
-            )
+        pipeline = ERPipeline(
+            strategy,
+            PrefixBlocking("title"),
+            ThresholdMatcher("title", THRESHOLD),
+            num_map_tasks=m,
+            num_reduce_tasks=r,
+            batch_kernel=True,
+        )
+        if batched_myers:
+            return pipeline.run(entities)
+        with _stdlib_kernel():
             return pipeline.run(entities)
 
     repeats = 1 if small else 2

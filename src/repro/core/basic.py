@@ -15,11 +15,11 @@ from ..er.blocking import BlockingFunction
 from ..er.entity import Entity
 from ..er.matching import Matcher
 from ..mapreduce.counters import flush_pair_counters
-from ..mapreduce.job import MapReduceJob, TaskContext, stable_hash
-from .match_tasks import run_batched_group
+from ..mapreduce.job import TaskContext, stable_hash
+from .match_tasks import BatchedMatchJob, run_batched_group
 
 
-class BasicMatchJob(MapReduceJob):
+class BasicMatchJob(BatchedMatchJob):
     """The single MR job of the Basic strategy.
 
     Can consume either raw entities (``key=None, value=entity`` —
@@ -64,8 +64,8 @@ class BasicMatchJob(MapReduceJob):
     ) -> None:
         if self.batch_kernel:
             # The whole block is one triangular batch: prepare every
-            # entity once, then score all pairs in a single
-            # `match_batch` call.
+            # entity once; the task's blocks are scored together in
+            # `finish_reduce`.
             prepare = self.matcher.prepare
             prepared = [prepare(e) for e in values]
             run_batched_group(

@@ -17,19 +17,21 @@ from ..er.blocking import BlockKey
 from ..er.entity import Entity
 from ..er.matching import Matcher
 from ..mapreduce.counters import flush_pair_counters
-from ..mapreduce.job import MapReduceJob, TaskContext
+from ..mapreduce.job import TaskContext
 from ..mapreduce.types import KeyCodec, PackedProjection, packed_keys_enabled
 from .bdm import BlockDistributionMatrix
 from .keys import BlockSplitKey
 from .match_tasks import (
+    BatchedMatchJob,
     MatchTaskAssignment,
+    flush_batched_groups,
     leading_run_split,
     plan_block_split,
     run_batched_group,
 )
 
 
-class BlockSplitJob(MapReduceJob):
+class BlockSplitJob(BatchedMatchJob):
     """MR Job 2 for BlockSplit.
 
     Input: Job-1-annotated records ``(blocking key, entity)`` in the
@@ -162,6 +164,8 @@ class BlockSplitJob(MapReduceJob):
                 return
             # Interleaved partitions (not produced by the stable
             # shuffle): the scalar loop below defines the semantics.
+            # It emits directly, so earlier groups go out first.
+            flush_batched_groups(self.matcher, emit, context)
         matcher = self.matcher
         prepare = matcher.prepare
         match_prepared = matcher.match_prepared

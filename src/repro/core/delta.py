@@ -47,7 +47,7 @@ from ..er.blocking import BlockKey
 from ..er.entity import Entity
 from ..er.matching import Matcher
 from ..mapreduce.counters import flush_pair_counters
-from ..mapreduce.job import MapReduceJob, TaskContext, stable_hash
+from ..mapreduce.job import TaskContext, stable_hash
 from ..mapreduce.types import KeyCodec, PackedProjection, packed_keys_enabled
 from .bdm import BlockDistributionMatrix
 from .enumeration import (
@@ -57,7 +57,13 @@ from .enumeration import (
     sorted_run_bounds,
 )
 from .keys import BlockSplitKey, PairRangeKey
-from .match_tasks import MatchTask, leading_run_split, run_batched_group
+from .match_tasks import (
+    BatchedMatchJob,
+    MatchTask,
+    flush_batched_groups,
+    leading_run_split,
+    run_batched_group,
+)
 
 
 class DeltaBDM:
@@ -404,7 +410,7 @@ def _batched_whole_delta(job, values, emit, context) -> None:
     run_batched_group(job.matcher, prepared, SpanPairs(spans), emit, context)
 
 
-class DeltaBasicJob(MapReduceJob):
+class DeltaBasicJob(BatchedMatchJob):
     """Basic matching of a delta: whole blocks, old entities buffered.
 
     Same routing as :class:`~repro.core.basic.BasicMatchJob` — hash the
@@ -515,7 +521,7 @@ def generate_delta_match_tasks(
     return tasks, frozenset(split_blocks), threshold
 
 
-class DeltaBlockSplitJob(MapReduceJob):
+class DeltaBlockSplitJob(BatchedMatchJob):
     """BlockSplit over the delta comparison matrix.
 
     Unsplit blocks run a delta-aware self-join (old entities buffered
@@ -670,6 +676,9 @@ class DeltaBlockSplitJob(MapReduceJob):
                     context,
                 )
                 return
+            # Interleaved partitions: the scalar loop emits directly,
+            # so earlier groups go out first.
+            flush_batched_groups(self.matcher, emit, context)
         matcher = self.matcher
         prepare = matcher.prepare
         match_prepared = matcher.match_prepared
@@ -700,7 +709,7 @@ class DeltaBlockSplitJob(MapReduceJob):
 # ---------------------------------------------------------------------------
 
 
-class DeltaPairRangeJob(MapReduceJob):
+class DeltaPairRangeJob(BatchedMatchJob):
     """PairRange over the delta enumeration.
 
     Same routing as the full :class:`~repro.core.pairrange.PairRangeJob`

@@ -20,8 +20,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Any, Protocol, Sequence
 
+from ..er.batch_kernel import ConcatPairs
+from ..mapreduce.counters import flush_pair_counters
+from ..mapreduce.job import MapReduceJob, TaskContext
 from .enumeration import block_pair_count
 
 #: Split-component encoding for an unsplit block ("k.*").
@@ -163,22 +166,71 @@ def plan_block_split(bdm: BdmLike, num_reduce_tasks: int) -> MatchTaskAssignment
 #
 # With ``batch_kernel`` enabled the reduce functions stop walking their
 # candidate pairs one ``match_prepared`` call at a time: they describe
-# the group's pairs as one spec (triangle / cross / spans — see
-# :mod:`repro.er.batch_kernel`) and hand the whole match task to the
-# matcher in a single ``match_batch`` call.  These helpers hold the
-# pieces every batched reduce loop shares.
+# each group's pairs as one spec (triangle / cross / spans — see
+# :mod:`repro.er.batch_kernel`) and park it on the task's context; the
+# whole reduce task then goes to the matcher in a single ``match_batch``
+# call.  These helpers hold the pieces every batched reduce loop shares.
+
+#: Most pairs a reduce task parks before it scores what it holds instead
+#: of waiting for its last group (a single larger group is scored on its
+#: own): the batch kernel keeps about ten 8-byte arrays per pair, ~10 MB
+#: for this many.
+MAX_PENDING_PAIRS = 1 << 17
+
+
+class BatchedMatchJob(MapReduceJob):
+    """A matching job whose reduce groups are scored together.
+
+    ``reduce`` hands each group to :func:`run_batched_group`, which
+    only parks it; :meth:`finish_reduce` scores what the task has
+    parked.  Subclasses provide ``matcher``.
+    """
+
+    matcher: Any
+
+    def finish_reduce(self, emit, context: TaskContext) -> None:
+        flush_batched_groups(self.matcher, emit, context)
 
 
 def run_batched_group(matcher, prepared: list, spec, emit, context) -> None:
-    """Execute one reduce group's pair spec through ``match_batch``.
+    """Park one reduce group's pair spec for the task's ``match_batch``.
 
-    Emits the returned matches in spec pair order — the order the
-    scalar streaming loops emit them — and flushes the pair counters
-    once per batch with the spec's exact pair count, so per-task
-    outputs and counters are byte-identical to the scalar path.
+    Groups wait on the *task's* context (the job is shared between
+    concurrently running tasks) until :meth:`BatchedMatchJob.
+    finish_reduce`, an earlier :func:`flush_batched_groups` by a reduce
+    function about to emit directly, or :data:`MAX_PENDING_PAIRS`.
     """
-    from ..mapreduce.counters import flush_pair_counters
+    if context.pending_pairs + spec.count > MAX_PENDING_PAIRS:
+        flush_batched_groups(matcher, emit, context)
+    context.pending.append((prepared, spec))
+    context.pending_pairs += spec.count
 
+
+def flush_batched_groups(matcher, emit, context) -> None:
+    """Score the task's parked groups in one ``match_batch`` call.
+
+    The matcher sees one spec over the concatenated groups — every
+    pair, in group order and then each spec's own order, which is the
+    order the scalar streaming loops compare and emit in — and the pair
+    counters advance by the same totals, so per-task outputs and
+    counters are byte-identical to the scalar path.
+    """
+    pending = context.pending
+    if not pending:
+        return
+    if len(pending) == 1:
+        # As it is: concatenating would copy a possibly huge group's
+        # index arrays once more.
+        prepared, spec = pending[0]
+    else:
+        prepared = []
+        offsets = []
+        for group, _spec in pending:
+            offsets.append(len(prepared))
+            prepared.extend(group)
+        spec = ConcatPairs([spec for _group, spec in pending], offsets)
+    pending.clear()
+    context.pending_pairs = 0
     matches = matcher.match_batch(prepared, spec)
     for pair in matches:
         emit(None, pair)

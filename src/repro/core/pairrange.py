@@ -17,15 +17,15 @@ from ..er.blocking import BlockKey
 from ..er.entity import Entity
 from ..er.matching import Matcher
 from ..mapreduce.counters import flush_pair_counters
-from ..mapreduce.job import MapReduceJob, TaskContext
+from ..mapreduce.job import TaskContext
 from ..mapreduce.types import KeyCodec, PackedProjection, packed_keys_enabled
 from .bdm import BlockDistributionMatrix
 from .enumeration import PairEnumeration, PairRangeSpec, sorted_run_bounds
 from .keys import PairRangeKey
-from .match_tasks import run_batched_group
+from .match_tasks import BatchedMatchJob, run_batched_group
 
 
-class PairRangeJob(MapReduceJob):
+class PairRangeJob(BatchedMatchJob):
     """MR Job 2 for PairRange.
 
     Input: Job-1-annotated records ``(blocking key, entity)`` in Job 1's
@@ -122,8 +122,8 @@ class PairRangeJob(MapReduceJob):
         if self.batch_kernel:
             # Same two binary searches per entity, but the in-range runs
             # are recorded as (entity, start, stop) index spans instead
-            # of walked pair by pair; one `match_batch` call scores the
-            # whole group.
+            # of walked pair by pair; `finish_reduce` scores the task's
+            # groups in one `match_batch` call.
             row_span = enumeration.row_span
             prepare = self.matcher.prepare
             buffer_x: list[int] = []

@@ -18,7 +18,7 @@ from ..er.blocking import BlockingFunction, BlockKey
 from ..er.entity import Entity
 from ..er.matching import Matcher
 from ..mapreduce.counters import flush_pair_counters
-from ..mapreduce.job import MapReduceJob, TaskContext
+from ..mapreduce.job import TaskContext
 from ..mapreduce.runtime import JobResult, LocalRuntime
 from ..mapreduce.types import (
     KeyCodec,
@@ -36,7 +36,12 @@ from .bdm import (
 from ..er.batch_kernel import CrossPairs, SpanPairs
 from .enumeration import DualPairEnumeration, PairRangeSpec, sorted_run_bounds
 from .keys import DualBlockSplitKey, DualPairRangeKey
-from .match_tasks import MatchTask, run_batched_group
+from .match_tasks import (
+    BatchedMatchJob,
+    MatchTask,
+    flush_batched_groups,
+    run_batched_group,
+)
 
 SOURCE_R = "R"
 SOURCE_S = "S"
@@ -254,7 +259,7 @@ def generate_dual_match_tasks(
     return tasks, frozenset(split_blocks), threshold
 
 
-class DualBlockSplitJob(MapReduceJob):
+class DualBlockSplitJob(BatchedMatchJob):
     """MR Job 2 for two-source BlockSplit.
 
     Keys add the source tag; full-key sorting delivers each match
@@ -356,6 +361,8 @@ class DualBlockSplitJob(MapReduceJob):
                 return
             # An R arrived after an S (full-key sort would not produce
             # this): the scalar loop below defines the semantics.
+            # It emits directly, so earlier groups go out first.
+            flush_batched_groups(self.matcher, emit, context)
         matcher = self.matcher
         prepare = matcher.prepare
         match_prepared = matcher.match_prepared
@@ -381,7 +388,7 @@ class DualBlockSplitJob(MapReduceJob):
 # ---------------------------------------------------------------------------
 
 
-class DualPairRangeJob(MapReduceJob):
+class DualPairRangeJob(BatchedMatchJob):
     """MR Job 2 for two-source PairRange.
 
     Pair enumeration covers every cell of each block's ``NR × NS``
@@ -495,6 +502,9 @@ class DualPairRangeJob(MapReduceJob):
                     self.matcher, prepared, SpanPairs(spans), emit, context
                 )
                 return
+            # Out-of-order input, as above: the scalar loop emits
+            # directly, so earlier groups go out first.
+            flush_batched_groups(self.matcher, emit, context)
         matcher = self.matcher
         prepare = matcher.prepare
         match_prepared = matcher.match_prepared

@@ -22,6 +22,7 @@ Everything is deterministic given a seed.
 
 from __future__ import annotations
 
+import itertools
 import random
 import string
 from dataclasses import dataclass, field
@@ -133,6 +134,11 @@ class _PrefixVocabulary:
     """
 
     def __init__(self, stems: Sequence[str], num_blocks: int, rng: random.Random):
+        if num_blocks > 26 ** 3:
+            raise ValueError(
+                f"num_blocks={num_blocks} exceeds the {26 ** 3} distinct "
+                "three-letter prefixes blocks are keyed on"
+            )
         self._words: list[str] = []
         seen: set[str] = set()
         for stem in stems:
@@ -142,10 +148,17 @@ class _PrefixVocabulary:
                 self._words.append(stem)
             if len(self._words) >= num_blocks:
                 break
-        # Fill the remainder with pronounceable synthetic words.
+        # Fill the remainder with pronounceable synthetic words, drawn
+        # at random while the consonant-vowel-consonant prefixes last
+        # (16·5·16 of them; every draw is kept as it always was, so
+        # existing corpora do not change) ...
         consonants = "bcdfghklmnprstvz"
         vowels = "aeiou"
-        while len(self._words) < num_blocks:
+        unused = len(consonants) * len(vowels) * len(consonants) - sum(
+            p[0] in consonants and p[1] in vowels and p[2] in consonants
+            for p in seen
+        )
+        while len(self._words) < num_blocks and unused:
             word = (
                 rng.choice(consonants)
                 + rng.choice(vowels)
@@ -156,6 +169,16 @@ class _PrefixVocabulary:
             if word[:3] not in seen:
                 seen.add(word[:3])
                 self._words.append(word)
+                unused -= 1
+        # ... then, without drawing, through the remaining three-letter
+        # prefixes in alphabetical order.
+        for letters in itertools.product(string.ascii_lowercase, repeat=3):
+            if len(self._words) >= num_blocks:
+                break
+            prefix = "".join(letters)
+            if prefix not in seen:
+                seen.add(prefix)
+                self._words.append(prefix + "ex")
 
     def leading_word(self, block: int) -> str:
         return self._words[block]

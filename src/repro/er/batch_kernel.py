@@ -1,62 +1,55 @@
 """Batched pair scoring over packed arrays — the vectorized match kernel.
 
-PR 3 made the per-pair hot path fast (interned strings, Myers' bit-
-parallel kernel, a bounded LRU memo); this module removes the per-pair
-Python overhead around it.  A reduce group's candidate pairs are
-described *symbolically* by a :class:`PairSpec` — a triangle, a cross
-product, or a list of contiguous spans — instead of materialized
+A reduce task's candidate pairs are described *symbolically* by a pair
+spec — a triangle, a cross product, a list of contiguous spans, or a
+concatenation of those over several groups — instead of materialized
 ``(i, j)`` tuples, and :func:`score_pair_batch` scores the whole batch
 in one call:
 
-1. the group's strings are packed once into code/length arrays (each
-   *distinct* string gets one integer code, so duplicate-heavy groups
-   collapse),
-2. a vectorized exact-equality check settles same-string pairs at 1.0,
-3. a vectorized length filter settles hopeless pairs at 0.0 (the same
+1. the batch's strings are packed once into integer codes (each
+   *distinct* string gets one code, so duplicate-heavy groups collapse),
+2. an exact-equality check settles same-string pairs at 1.0,
+3. a length filter settles hopeless pairs at 0.0 (the same
    ``diff > ⌊(1 − t)·longest⌋`` test the scalar matcher applies),
-4. the surviving pairs are grouped by distinct unordered string pair
-   and each distinct pair runs Myers' bit-parallel loop exactly once,
-   over pattern masks prepacked per distinct string
-   (:func:`repro.er.similarity.myers_masks`) — not per pair.
+4. the surviving pairs collapse to the *distinct* unordered string
+   pairs among them, and each of those is computed exactly once.
 
-When numpy is importable, steps 2–4 use int64/float64 array arithmetic,
-and step 4 runs the Myers recurrence itself *batched*: every distinct
-surviving pair that needs the bit-parallel kernel becomes one ``uint64``
-lane of :func:`repro.er.similarity.myers_distance_batch`, which advances
-all lanes one text position per vectorized step (with the Ukkonen early
-exit applied vector-wide through a per-lane alive mask).  Otherwise a
-pure-stdlib loop with the identical dedup/memo structure runs.
+With numpy importable everything after step 1 is int64/float64/uint64
+array arithmetic: pairs, surviving pairs and distinct pairs stay
+``(pattern code, text code, budget)`` integer arrays from the spec's
+``index_arrays`` to the scattered scores, and step 4 is one call of
+:func:`repro.er.similarity.myers_distance_lanes`, which runs Myers'
+bit-parallel recurrence with one ``uint64`` lane per distinct pair.
+Python touches each *entity's string* once (to code it), each distinct
+string once more (to pack it) and each *match* once (to build its
+:class:`~repro.er.matching.MatchPair`); nothing runs per pair, per pair
+occurrence or per lane.  Otherwise a
+pure-stdlib loop with the same collapse runs.
 
-Both paths are byte-identical to the scalar kernel — including the
-matcher's LRU memo.  Scores are easy: every score is either ``1.0``/
-``0.0`` from the same short-circuits the scalar matcher applies or the
-output of the same bounded Myers/banded kernels it calls.  Cache
-counters and cache *contents* are the subtle part: the batch computes
-each distinct pair once, but the scalar matcher probes its LRU once per
-pair occurrence, so under eviction pressure (more distinct surviving
-pairs than ``memoize``) a naive per-distinct accounting drifts — both
-in hit/miss totals and in which entries survive into later groups.
-:class:`_DistinctScorer` therefore *replays* the scalar pop/evict/
-reinsert discipline per pair occurrence, in pair order, against the
-shared cache (taking a closed-form shortcut only when no eviction can
-occur, where the replay's outcome is provable in advance).  Matches,
-per-task outputs, all counters, and the residual cache state are
-identical whichever path ran.  numpy stays an *optional* dependency
-(the ``fast`` extra); set ``REPRO_ER_FORCE_STDLIB=1`` to force the
-fallback with numpy installed.
+Both paths are byte-identical to the scalar kernel in every score:
+each is either ``1.0``/``0.0`` from the same short-circuits the scalar
+matcher applies or the output of the same bounded Myers/banded kernels
+it calls.  The batch is *stateless*: the matcher's LRU verdict memo
+belongs to the scalar path alone (``match_prepared``).  A probe of
+that memo costs about 2.5 µs per pair occurrence and recomputing a lane
+about 1.2 µs, and on the benchmark corpora at most 0.35 % of the
+surviving occurrences hit it, so the batch neither reads nor writes it
+and the matcher's ``cache_hits``/``cache_misses`` do not move here.
+numpy stays an *optional* dependency (the ``fast`` extra); set
+``REPRO_ER_FORCE_STDLIB=1`` to force the fallback with numpy installed.
 """
 
 from __future__ import annotations
 
 import os
-from array import array
 from bisect import bisect_right
 from math import isqrt
 from typing import Iterator, Sequence
 
 from .similarity import (
+    MyersMasks,
     levenshtein_similarity_bounded,
-    myers_distance_batch,
+    myers_distance_lanes,
     myers_distance_masks,
     myers_masks,
 )
@@ -68,17 +61,13 @@ try:  # pragma: no cover - exercised via both CI legs
 except ImportError:  # pragma: no cover
     _numpy = None
 
-#: Below this many pairs the numpy path's array-construction overhead
-#: outweighs the vectorization win on small groups; the stdlib loop
-#: runs instead.  Both paths are byte-identical, so this is purely a
-#: performance knob.
-NUMPY_MIN_PAIRS = 16
-
-#: Below this many Myers-eligible lanes the batched recurrence's setup
-#: (mask table, padded text matrix) outweighs its per-step win and the
-#: per-distinct-pair scalar loop runs instead.  Byte-identical either
-#: way; purely a performance knob.
-MYERS_MIN_LANES = 4
+#: Below this many pairs the stdlib loop runs even with numpy active.
+#: Measured on both benchmark corpora: a numpy batch costs ~0.65 ms
+#: before its first pair (about 35 array operations per text position,
+#: whatever the lane count) and ~1 µs per pair after it, the stdlib loop
+#: 14–22 µs per pair that reaches Myers — they cross at 50–80 pairs.
+#: Both paths are byte-identical, so this is purely a performance knob.
+NUMPY_MIN_PAIRS = 64
 
 
 def active_numpy():
@@ -189,214 +178,76 @@ class SpanPairs:
         return start + (k - self._offsets[s]), j
 
     def index_arrays(self, np):
-        if not self.spans:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        i = np.concatenate(
-            [np.arange(start, stop, dtype=np.int64) for _j, start, stop in self.spans]
-        )
-        j = np.repeat(
-            np.fromiter((j for j, _s, _t in self.spans), dtype=np.int64, count=len(self.spans)),
-            np.fromiter((stop - start for _j, start, stop in self.spans), dtype=np.int64, count=len(self.spans)),
+        spans = np.array(self.spans, dtype=np.int64).reshape(-1, 3)
+        sizes = spans[:, 2] - spans[:, 1]
+        j = np.repeat(spans[:, 0], sizes)
+        # Position within the span, shifted to the span's start.
+        i = np.arange(self.count, dtype=np.int64) - np.repeat(
+            np.cumsum(sizes) - sizes - spans[:, 1], sizes
         )
         return i, j
 
 
-class _DistinctScorer:
-    """Computes each *distinct* unordered string pair of a batch once,
-    while replaying the scalar matcher's LRU discipline per occurrence.
+class ConcatPairs:
+    """The pairs of several groups over one concatenated entity list.
 
-    Two responsibilities, deliberately separated:
-
-    * **Scoring** (:meth:`prime` / :meth:`touch` misses) computes every
-      distinct pair's similarity exactly once — batched through
-      :func:`~repro.er.similarity.myers_distance_batch` when numpy is
-      active and enough lanes qualify, else via the same bounded
-      kernels the scalar matcher calls, with Myers pattern masks
-      prepacked per distinct string.  Scores land in ``_scores`` and
-      never depend on the shared cache's state.
-    * **Cache bookkeeping** (:meth:`touch` / :meth:`replay_keys`)
-      reproduces, per pair occurrence and in pair order, exactly the
-      pop → count hit/miss → evict → reinsert sequence the scalar
-      matcher runs against its LRU.  That keeps ``hits``/``misses``
-      *and* the cache's residual contents and recency order
-      byte-identical under eviction pressure, so later groups — scalar
-      or batched — observe the same cache either way.
+    ``specs[g]`` indexes group ``g``'s own entities from 0; its entities
+    sit at ``offsets[g]`` onwards in the concatenated list, so every
+    index it yields is shifted by ``offsets[g]``.  This is how a reduce
+    task hands all of its groups to the matcher in one ``match_batch``
+    call.  Order: groups in given order, then each spec's own order.
     """
 
-    __slots__ = (
-        "_threshold", "_cache", "_memoize", "_masks", "_scores",
-        "hits", "misses",
-    )
+    __slots__ = ("specs", "offsets", "count", "_starts")
 
-    def __init__(self, threshold: float, cache: dict | None, memoize: int):
-        self._threshold = threshold
-        self._cache = cache
-        self._memoize = memoize
-        self._masks: dict[str, object] = {}
-        #: Batch-local score memo keyed by the canonical ``(min, max)``
-        #: string pair — the compute-once guarantee.
-        self._scores: dict[tuple[str, str], float] = {}
-        self.hits = 0
-        self.misses = 0
+    def __init__(self, specs: Sequence, offsets: Sequence[int]):
+        self.specs = specs
+        self.offsets = offsets
+        starts = [0]
+        for spec in specs:
+            starts.append(starts[-1] + spec.count)
+        self._starts = starts
+        self.count = starts[-1]
 
-    def touch(self, a: str, b: str) -> float:
-        """One pair occurrence, exactly as the scalar matcher runs it.
+    def iter_pairs(self) -> Iterator[tuple[int, int]]:
+        for spec, offset in zip(self.specs, self.offsets):
+            for i, j in spec.iter_pairs():
+                yield i + offset, j + offset
 
-        Same ``(min, max)`` cache key, same pop/reinsert LRU discipline
-        and eviction bound, same hit/miss accounting — except that a
-        miss whose pair was already computed this batch reuses the
-        memoised score instead of recomputing (scores are pure values,
-        so the result is identical).
-        """
-        key = (a, b) if a <= b else (b, a)
-        cache = self._cache
-        score = cache.pop(key, None) if cache is not None else None
-        if score is None:
-            self.misses += 1
-            score = self._scores.get(key)
-            if score is None:
-                score = self._scores[key] = self._compute(key[0], key[1])
-        else:
-            self.hits += 1
-            self._scores[key] = score
-        if self._memoize and cache is not None:
-            if len(cache) >= self._memoize:
-                try:
-                    cache.pop(next(iter(cache)), None)
-                except (StopIteration, RuntimeError):
-                    pass
-            cache[key] = score
-        return score
+    def pair_at(self, k: int) -> tuple[int, int]:
+        g = bisect_right(self._starts, k) - 1
+        i, j = self.specs[g].pair_at(k - self._starts[g])
+        offset = self.offsets[g]
+        return i + offset, j + offset
 
-    def prime(self, np, keys: list[tuple[str, str]]) -> None:
-        """Precompute ``_scores`` for canonical distinct pair ``keys``.
-
-        Pairs already in the shared cache reuse the cached value (a
-        non-mutating peek — the bookkeeping happens in replay); the
-        rest are computed, batching every Myers-eligible pair (shorter
-        side 1–64 chars) into one vectorized recurrence when ``np`` is
-        active and at least :data:`MYERS_MIN_LANES` lanes qualify.
-        """
-        cache = self._cache
-        scores = self._scores
-        lanes: list[tuple[tuple[str, str], str, str, int]] = []
-        for key in keys:
-            if cache is not None:
-                cached = cache.get(key)
-                if cached is not None:
-                    scores[key] = cached
-                    continue
-            a, b = key
-            la = len(a)
-            lb = len(b)
-            if la >= lb:
-                text, pattern, shorter, longest = a, b, lb, la
-            else:
-                text, pattern, shorter, longest = b, a, la, lb
-            if 1 <= shorter <= 64:
-                lanes.append((key, pattern, text, longest))
-            else:
-                scores[key] = levenshtein_similarity_bounded(
-                    a, b, self._threshold
-                )
-        if not lanes:
-            return
-        if np is None or len(lanes) < MYERS_MIN_LANES:
-            for key, _pattern, _text, _longest in lanes:
-                scores[key] = self._compute(key[0], key[1])
-            return
-        one_minus = 1.0 - self._threshold
-        budgets = [int(one_minus * longest) for _k, _p, _t, longest in lanes]
-        distances = myers_distance_batch(
-            np,
-            [pattern for _k, pattern, _t, _l in lanes],
-            [text for _k, _p, text, _l in lanes],
-            budgets,
+    def index_arrays(self, np):
+        parts = [spec.index_arrays(np) for spec in self.specs]
+        shift = np.repeat(
+            np.array(self.offsets, dtype=np.int64),
+            np.diff(np.array(self._starts, dtype=np.int64)),
         )
-        longests = np.fromiter(
-            (longest for _k, _p, _t, longest in lanes),
-            dtype=np.int64, count=len(lanes),
+        return (
+            np.concatenate([i for i, _j in parts]) + shift,
+            np.concatenate([j for _i, j in parts]) + shift,
         )
-        budgets_arr = np.fromiter(budgets, dtype=np.int64, count=len(lanes))
-        # Same float64 arithmetic as the scalar ``1.0 - d / longest``.
-        sims = np.where(
-            distances > budgets_arr, 0.0, 1.0 - distances / longests
-        )
-        for (key, _p, _t, _l), sim in zip(lanes, sims.tolist()):
-            scores[key] = sim
-
-    def replay_keys(self, keys) -> None:
-        """Replay the scalar LRU discipline over primed ``keys`` in
-        pair order (every score must already be in ``_scores``)."""
-        cache = self._cache
-        memoize = self._memoize
-        scores = self._scores
-        for key in keys:
-            score = cache.pop(key, None)
-            if score is None:
-                self.misses += 1
-                score = scores[key]
-            else:
-                self.hits += 1
-            if memoize:
-                if len(cache) >= memoize:
-                    try:
-                        cache.pop(next(iter(cache)), None)
-                    except (StopIteration, RuntimeError):
-                        pass
-                cache[key] = score
-
-    def _compute(self, a: str, b: str) -> float:
-        # levenshtein_similarity_bounded for a != b, with the Myers
-        # dispatch case running over prepacked per-string masks.
-        la = len(a)
-        lb = len(b)
-        if la >= lb:
-            text, pattern, shorter = a, b, lb
-        else:
-            text, pattern, shorter = b, a, la
-        if 1 <= shorter <= 64:
-            longest = la if la >= lb else lb
-            max_distance = int((1.0 - self._threshold) * longest)
-            masks = self._masks.get(pattern)
-            if masks is None:
-                masks = self._masks[pattern] = myers_masks(pattern)
-            distance = myers_distance_masks(masks, text, max_distance)
-            if distance > max_distance:
-                return 0.0
-            return 1.0 - distance / longest
-        # Empty-vs-nonempty and >64-char patterns: the scalar routine
-        # already handles these cases via its own dispatch.
-        return levenshtein_similarity_bounded(a, b, self._threshold)
 
 
-def score_pair_batch(
-    texts: Sequence[str],
-    pairs,
-    threshold: float,
-    *,
-    cache: dict | None = None,
-    memoize: int = 0,
-):
-    """Score every pair of a batch; returns ``(scores, hits, misses)``.
+def score_pair_batch(texts: Sequence[str], pairs, threshold: float):
+    """Score every pair of a batch; returns the scores in pair order.
 
-    ``texts`` holds the group's strings (position-aligned with the
-    indices ``pairs`` yields), ``pairs`` is a :class:`TrianglePairs`/
-    :class:`CrossPairs`/:class:`SpanPairs` spec, and ``cache``/
-    ``memoize`` are the matcher's persistent score memo and its bound.
-    ``scores`` is index-aligned with the spec's pair order (a float64
-    ndarray on the numpy path, a list on the stdlib path); ``hits``/
-    ``misses`` are exactly the cache-counter increments the scalar path
-    would have recorded for the same pairs, and ``cache`` is left with
-    exactly the contents *and* recency order the scalar path would have
-    left — the LRU discipline is replayed per occurrence in pair order,
-    so eviction pressure cannot make later batches drift.
+    ``texts`` holds the batch's strings (position-aligned with the
+    indices ``pairs`` yields) and ``pairs`` is a pair spec of this
+    module.  The result is index-aligned with the spec's pair order — a
+    float64 ndarray on the numpy path, a list on the stdlib path — and
+    holds exactly ``levenshtein_similarity_bounded(texts[i], texts[j],
+    threshold)`` for every pair.  The call reads and writes no state
+    outside its arguments: each distinct string pair of the batch is
+    computed once and nothing is remembered afterwards.
     """
     np = _numpy
     if np is not None and pairs.count >= NUMPY_MIN_PAIRS:
-        return _score_numpy(np, texts, pairs, threshold, cache, memoize)
-    return _score_stdlib(texts, pairs, threshold, cache, memoize)
+        return _score_numpy(np, texts, pairs, threshold)
+    return _score_stdlib(texts, pairs, threshold)
 
 
 def matching_positions(scores, threshold: float) -> list[int]:
@@ -409,94 +260,89 @@ def matching_positions(scores, threshold: float) -> list[int]:
 def _encode(texts: Sequence[str]) -> tuple[list[int], list[str]]:
     """Pack strings into integer codes; one code per distinct string."""
     code_of: dict[str, int] = {}
-    codes: list[int] = []
-    distinct: list[str] = []
-    for text in texts:
-        code = code_of.get(text)
-        if code is None:
-            code = len(distinct)
-            code_of[text] = code
-            distinct.append(text)
-        codes.append(code)
-    return codes, distinct
+    codes = [code_of.setdefault(text, len(code_of)) for text in texts]
+    return codes, list(code_of)
 
 
-def _score_numpy(np, texts, pairs, threshold, cache, memoize):
+def _score_numpy(np, texts, pairs, threshold):
     codes, distinct = _encode(texts)
-    left, right = pairs.index_arrays(np)
-    codes_arr = np.fromiter(codes, dtype=np.int64, count=len(codes))
-    lengths = np.fromiter(
-        (len(s) for s in distinct), dtype=np.int64, count=len(distinct)
+    lengths = np.fromiter(map(len, distinct), dtype=np.int64, count=len(distinct))
+    scores, survive, keys = _surviving_keys(
+        np, np.fromiter(codes, dtype=np.int64, count=len(codes)), lengths,
+        pairs, threshold,
     )
-    ca = codes_arr[left]
-    cb = codes_arr[right]
+    if survive.shape[0]:
+        # One lane per distinct unordered string pair among the survivors.
+        keys, inverse = np.unique(keys, return_inverse=True)
+        scores[survive] = _distinct_similarity(
+            np, distinct, lengths, keys, threshold
+        )[inverse]
+    return scores
+
+
+def _surviving_keys(np, codes, lengths, pairs, threshold):
+    """Settle equal and hopeless pairs; key the rest by their strings.
+
+    Returns the scores (1.0 where both strings are the same, else 0.0),
+    the positions of the pairs that pass the length filter, and for
+    each of those ``low code * distinct + high code``.  Everything else
+    that is one-per-pair dies with this frame, before the lanes run.
+    """
+    ca, cb = (codes[side] for side in pairs.index_arrays(np))
     la = lengths[ca]
     lb = lengths[cb]
-    longest = np.maximum(la, lb)
-    scores = np.zeros(pairs.count, dtype=np.float64)
-    equal = ca == cb
-    scores[equal] = 1.0
     # float64 multiply + int64 truncation ≡ the scalar int((1−t)·longest).
-    budget = ((1.0 - threshold) * longest).astype(np.int64)
-    survive = ~equal & (np.abs(la - lb) <= budget)
-    if not survive.any():
-        return scores, 0, 0
+    budget = ((1.0 - threshold) * np.maximum(la, lb)).astype(np.int64)
+    survive = np.nonzero((ca != cb) & (np.abs(la - lb) <= budget))[0]
     sa = ca[survive]
     sb = cb[survive]
-    lo = np.minimum(sa, sb)
-    hi = np.maximum(sa, sb)
-    ndistinct = len(distinct)
-    # pair_keys is in spec pair order (boolean masking preserves order),
-    # which is exactly the order the scalar matcher would have probed
-    # its cache in — the order the LRU replay below must follow.
-    pair_keys = lo * np.int64(ndistinct) + hi
-    unique_keys, inverse = np.unique(pair_keys, return_inverse=True)
-    scorer = _DistinctScorer(threshold, cache, memoize)
-    canonical: list[tuple[str, str]] = []
-    for key in unique_keys.tolist():
-        qa, qb = divmod(key, ndistinct)
-        a = distinct[qa]
-        b = distinct[qb]
-        canonical.append((a, b) if a <= b else (b, a))
-    scorer.prime(np, canonical)
-    unique_scores = np.fromiter(
-        (scorer._scores[key] for key in canonical),
-        dtype=np.float64, count=len(canonical),
+    ndistinct = lengths.shape[0]
+    keys = np.minimum(sa, sb) * ndistinct + np.maximum(sa, sb)
+    return (ca == cb).astype(np.float64), survive, keys
+
+
+def _distinct_similarity(np, distinct, lengths, keys, threshold):
+    """Similarity of each distinct surviving string pair, by key."""
+    ndistinct = lengths.shape[0]
+    qa = keys // ndistinct
+    qb = keys % ndistinct
+    la = lengths[qa]
+    lb = lengths[qb]
+    a_longer = la >= lb
+    longest = np.where(a_longer, la, lb)
+    shortest = np.where(a_longer, lb, la)
+    budget = ((1.0 - threshold) * longest).astype(np.int64)
+    fits_word = (shortest >= 1) & (shortest <= 64)
+    myers = np.nonzero(fits_word)[0]
+    distance = myers_distance_lanes(
+        np,
+        distinct,
+        np.where(a_longer, qb, qa)[myers],
+        np.where(a_longer, qa, qb)[myers],
+        budget[myers],
     )
-    scores[survive] = unique_scores[inverse]
-    occurrences = int(pair_keys.shape[0])
-    if cache is None or (not cache and not memoize):
-        # No LRU state to maintain: the scalar path would miss on every
-        # occurrence (nothing is ever inserted), so the counters are
-        # closed-form and no replay is needed.
-        return scores, 0, occurrences
-    uncached = sum(1 for key in canonical if key not in cache)
-    if len(cache) + uncached <= memoize:
-        # No eviction can trigger during this batch (the cache can
-        # only grow by the uncached distinct pairs), so the scalar
-        # replay's outcome is provable in closed form: the first
-        # occurrence of an uncached pair misses, everything else hits,
-        # and each touched key ends up reinserted at its *last*
-        # occurrence — i.e. after all untouched entries, ordered by
-        # last occurrence in pair order.
-        _, rev_index = np.unique(pair_keys[::-1], return_index=True)
-        last_order = np.argsort(-rev_index)
-        for u in last_order.tolist():
-            key = canonical[u]
-            value = cache.pop(key, scorer._scores[key])
-            cache[key] = value
-        return scores, occurrences - uncached, uncached
-    scorer.replay_keys(canonical[u] for u in inverse.tolist())
-    return scores, scorer.hits, scorer.misses
+    similarity = np.empty(keys.shape[0], dtype=np.float64)
+    # Same float64 arithmetic as the scalar ``1.0 - d / longest``.
+    similarity[myers] = np.where(
+        distance > budget[myers], 0.0, 1.0 - distance / longest[myers]
+    )
+    # Empty or > 64-character patterns are outside Myers' word: the
+    # scalar dispatch (banded DP) scores those distinct pairs.
+    for u in np.nonzero(~fits_word)[0].tolist():
+        similarity[u] = levenshtein_similarity_bounded(
+            distinct[qa[u]], distinct[qb[u]], threshold
+        )
+    return similarity
 
 
-def _score_stdlib(texts, pairs, threshold, cache, memoize):
+def _score_stdlib(texts, pairs, threshold):
     codes, distinct = _encode(texts)
-    lengths = array("q", (len(s) for s in distinct))
-    scorer = _DistinctScorer(threshold, cache, memoize)
+    ndistinct = len(distinct)
+    lengths = [len(s) for s in distinct]
+    masks: dict[int, MyersMasks] = {}
+    computed: dict[int, float] = {}
     scores = [0.0] * pairs.count
     one_minus = 1.0 - threshold
-    touch = scorer.touch
     for k, (i, j) in enumerate(pairs.iter_pairs()):
         a = codes[i]
         b = codes[j]
@@ -505,15 +351,28 @@ def _score_stdlib(texts, pairs, threshold, cache, memoize):
             continue
         la = lengths[a]
         lb = lengths[b]
-        if la >= lb:
-            longest = la
-            diff = la - lb
+        if la >= lb:  # the longer string is the text, as in the scalar kernel
+            text, pattern, longest, shortest = a, b, la, lb
         else:
-            longest = lb
-            diff = lb - la
-        if diff > int(one_minus * longest):
+            text, pattern, longest, shortest = b, a, lb, la
+        budget = int(one_minus * longest)
+        if longest - shortest > budget:
             continue  # length filter: stays 0.0
-        # touch() replays the scalar LRU discipline per occurrence and
-        # computes each distinct pair at most once (scorer._scores).
-        scores[k] = touch(distinct[a], distinct[b])
-    return scores, scorer.hits, scorer.misses
+        key = a * ndistinct + b if a < b else b * ndistinct + a
+        score = computed.get(key)
+        if score is None:
+            if 1 <= shortest <= 64:
+                # levenshtein_similarity_bounded's Myers case, over
+                # masks prepacked once per distinct pattern.
+                packed = masks.get(pattern)
+                if packed is None:
+                    packed = masks[pattern] = myers_masks(distinct[pattern])
+                distance = myers_distance_masks(packed, distinct[text], budget)
+                score = 0.0 if distance > budget else 1.0 - distance / longest
+            else:
+                score = levenshtein_similarity_bounded(
+                    distinct[text], distinct[pattern], threshold
+                )
+            computed[key] = score
+        scores[k] = score
+    return scores

@@ -168,18 +168,20 @@ class ThresholdMatcher(Matcher):
 
     With the default kernel the matcher takes the prepared fast path:
     the compare attribute is extracted, stringified and interned once
-    per reduce group instead of once per pair, and verdicts for
-    repeated value pairs are memoised in an LRU keyed on the interned
-    string pair (``memoize`` entries; 0 disables).  Both paths are
-    byte-identical in matches and counters — ``prepared=False`` forces
-    the legacy per-pair path, which ``benchmarks/perf_harness.py`` uses
-    as its "before" measurement.  A custom ``similarity_fn`` or a
+    per reduce group instead of once per pair, and on the per-pair
+    path (:meth:`match_prepared`) verdicts for repeated value pairs are
+    memoised in an LRU keyed on the interned string pair (``memoize``
+    entries; 0 disables).  ``prepared=False`` forces the legacy per-pair
+    path — byte-identical in matches and counters — which
+    ``benchmarks/perf_harness.py`` uses as its "before" measurement.  A custom ``similarity_fn`` or a
     subclass override of ``similarity``/``is_match``/``match`` also
     disables the fast path, preserving the override's semantics.
 
-    ``cache_hits``/``cache_misses`` count only the comparisons that
-    reach the cache+kernel stage; identical values (interned pointer
-    check) and pairs rejected by the length filter bypass both.
+    ``cache_hits``/``cache_misses`` count only the comparisons of the
+    per-pair path that reach the cache+kernel stage; identical values
+    (interned pointer check) and pairs rejected by the length filter
+    bypass both, and :meth:`match_batch` — the default reduce path —
+    never touches the memo, so a batched run reports 0 / 0.
     """
 
     def __init__(
@@ -291,7 +293,7 @@ class ThresholdMatcher(Matcher):
         return None
 
     def match_batch(self, prepared: list, pairs) -> list[MatchPair]:
-        """Score a whole reduce group's pairs through the batch kernel.
+        """Score a whole batch of pairs through the batch kernel.
 
         Active only on the prepared fast path (interned
         ``_PreparedEntity`` inputs); any other input — a custom
@@ -301,28 +303,21 @@ class ThresholdMatcher(Matcher):
         :meth:`match_prepared`'s (same short-circuits, same bounded
         kernels), matches are emitted in spec pair order with the same
         canonical id ordering, and ``comparisons``/``matches_found``
-        advance by the same totals.  ``cache_hits``/``cache_misses``
-        also advance by exactly the scalar path's increments: the batch
-        computes each distinct value pair once, then replays the scalar
-        pop/evict/reinsert LRU discipline per occurrence in spec pair
-        order, so the residual cache — contents *and* recency order —
-        is byte-identical too, and later groups see the same hit/miss
-        stream as a scalar run.
+        advance by the same totals.  The verdict memo is the scalar
+        path's alone: the batch computes each distinct value pair of
+        its input once and neither reads nor writes ``_cache``, so
+        ``cache_hits``/``cache_misses`` do not move here — the one
+        difference between a batched and a scalar run
+        (:mod:`repro.er.batch_kernel` has the numbers behind that).
         """
         if pairs.count == 0:
             return []
         if not prepared or type(prepared[0]) is not _PreparedEntity:
             return super().match_batch(prepared, pairs)
-        scores, hits, misses = score_pair_batch(
-            [p.text for p in prepared],
-            pairs,
-            self.threshold,
-            cache=self._cache,
-            memoize=self._memoize,
+        scores = score_pair_batch(
+            [p.text for p in prepared], pairs, self.threshold
         )
         self.comparisons += pairs.count
-        self.cache_hits += hits
-        self.cache_misses += misses
         out = []
         pair_at = pairs.pair_at
         for k in matching_positions(scores, self.threshold):

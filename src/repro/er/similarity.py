@@ -199,158 +199,182 @@ def myers_distance_masks(masks: MyersMasks, text: str, max_distance: int | None)
     return score
 
 
-#: Sentinel code point for padded text-matrix cells in the batched
-#: kernel.  Real code points stop at 0x10FFFF, so this value can never
-#: collide with a pattern character and its equality mask is always 0.
-_BATCH_PAD = 0x1FFFFF
+def myers_mask_table(np, codes, width):
+    """Equality masks of many patterns at once, as one dense table.
 
-#: Bits reserved for the code point in the combined ``lane | char``
-#: lookup keys of the batched kernel (0x10FFFF < 2**21).
-_BATCH_CHAR_BITS = 21
-
-
-def myers_mask_table(pattern: str) -> tuple[list[int], list[int]]:
-    """:func:`myers_masks`'s ``peq`` as parallel sorted arrays.
-
-    Returns ``(code_points, masks)`` with ``code_points`` strictly
-    ascending — the layout :func:`myers_distance_batch` needs to resolve
-    per-character equality masks with one vectorized binary search
-    instead of a per-character dict probe.  Same contract as
-    :func:`myers_masks`: ``pattern`` non-empty, at most 64 characters.
+    ``codes`` is a ``patterns × ≤64`` matrix of dense alphabet codes
+    (``0`` pads rows past the pattern's end); the result is a
+    ``patterns × width`` ``uint64`` table whose cell ``[p, c]`` has bit
+    ``i`` set iff ``codes[p, i] == c`` — :func:`myers_masks`'s ``peq``
+    for every pattern, built with array operations only.  Column 0 (the
+    pad / "character of no pattern" code) stays all-zero.
     """
-    peq: dict[int, int] = {}
-    bit = 1
-    for ch in pattern:
-        code = ord(ch)
-        peq[code] = peq.get(code, 0) | bit
-        bit <<= 1
-    codes = sorted(peq)
-    return codes, [peq[code] for code in codes]
+    rows, cols = np.nonzero(codes)
+    table = np.zeros((codes.shape[0], width), dtype=np.uint64)
+    np.bitwise_or.at(
+        table, (rows, codes[rows, cols]), np.uint64(1) << cols.astype(np.uint64)
+    )
+    return table
+
+
+def myers_distance_lanes(np, strings, pattern, text, max_distance):
+    """Myers' recurrence over many (pattern, text) lanes at once.
+
+    The array core of the batch kernel: lane ``k`` compares
+    ``strings[pattern[k]]`` with ``strings[text[k]]`` under the bound
+    ``max_distance[k]`` (three ``int64`` arrays), and gets exactly what
+    ``_myers_distance(strings[pattern[k]], strings[text[k]],
+    max_distance[k])`` returns — the exact distance, or ``bound + 1``
+    once the bound is provably exceeded.  Every pattern must be 1–64
+    characters long and every bound ``>= 0``; a bound ``>= len(text)``
+    can never trip, so passing the text length is the "unbounded"
+    configuration.
+
+    After the per-*string* set-up nothing is per-lane Python:
+
+    * the strings the lanes use are joined, decoded to code points with
+      one ``frombuffer`` and renumbered into a dense alphabet by one
+      ``np.unique``; a padded ``strings × longest`` code matrix serves
+      patterns and texts alike (code 0 = padding),
+    * equality masks live in one dense ``patterns × alphabet`` table
+      (:func:`myers_mask_table`), so a step resolves every lane's mask
+      with two gathers, ``table[pattern, code[text, t]]`` — no lanes ×
+      length matrix is ever materialized,
+    * each lane's DP column is one ``uint64`` of the VP/VN arrays, so a
+      step is a fixed number of word operations whatever the lane
+      count.  Wrapping ``uint64`` addition and the unmasked bits above
+      a lane's column are safe for the reason they are in Myers' C
+      formulation: only bit ``m - 1`` and those below it are ever
+      read, and carries and shifts only move information upwards,
+    * a step writes into rows of one block allocated per call and
+      allocates nothing itself (:func:`_myers_recurrence`).
+
+    The table is held to 64 masks per lane — what lane-private tables
+    would cost: a batch with a wide alphabet and few lanes per pattern
+    is scored in slices of its patterns, each with a table of its own.
+    """
+    lanes = pattern.shape[0]
+    if lanes == 0:
+        return np.empty(0, dtype=np.int64)
+    used, index = np.unique(np.concatenate((pattern, text)), return_inverse=True)
+    strings = [strings[u] for u in used.tolist()]
+    lengths = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
+    alphabet, dense = np.unique(
+        np.frombuffer("".join(strings).encode("utf-32-le"), dtype="<u4"),
+        return_inverse=True,
+    )
+    codes = np.zeros((len(strings), int(lengths.max())), dtype=np.int64)
+    codes[np.arange(codes.shape[1]) < lengths[:, None]] = dense + 1
+    width = alphabet.shape[0] + 1
+    pattern_ids, row = np.unique(index[:lanes], return_inverse=True)
+    pattern_codes = codes[pattern_ids, :64]
+    by_position = np.ascontiguousarray(codes.T)
+    text = index[lanes:]
+    m = lengths[pattern_ids][row]
+    n = lengths[text]
+    rows_per_table = max(1, 64 * lanes // width)
+    if pattern_ids.shape[0] <= rows_per_table:
+        # One table serves every lane: no per-slice copies of the lanes.
+        table = myers_mask_table(np, pattern_codes, width).ravel()
+        return _myers_recurrence(
+            np, table, row * width, by_position, text, m, n, max_distance
+        )
+    out = np.empty(lanes, dtype=np.int64)
+    for first in range(0, pattern_ids.shape[0], rows_per_table):
+        chosen = np.nonzero((row >= first) & (row < first + rows_per_table))[0]
+        table = myers_mask_table(
+            np, pattern_codes[first:first + rows_per_table], width
+        ).ravel()
+        out[chosen] = _myers_recurrence(
+            np, table, (row[chosen] - first) * width, by_position,
+            text[chosen], m[chosen], n[chosen], max_distance[chosen],
+        )
+    return out
+
+
+def _myers_recurrence(np, table, base, by_position, text, m, n, budget):
+    """The recurrence proper: one step per text position, every lane.
+
+    ``table[base[k] + c]`` is lane ``k``'s equality mask for code ``c``,
+    ``by_position[t][text[k]]`` its text's code at position ``t`` (0, the
+    code of no pattern, past the text's end), and ``m``/``n`` are its
+    pattern and text lengths.
+
+    Every array a step touches is a row of one block allocated up
+    front and every operation writes into such a row, so the loop
+    allocates nothing: a call costs what its lane count and longest
+    text make it cost, not what the allocator does with a thousand
+    lane-sized temporaries (glibc hands freed heap back to the system
+    and page-faults it in again — measured at 5–12 k faults per
+    ``dedup-skewed`` run, varying with the seed).  All lanes run to the
+    longest text; each records its score at its own text's end, and
+    Ukkonen's bound is applied to that score afterwards:
+    ``score - remaining`` can have exceeded the bound on the way
+    exactly if the final score does, because the score falls by at
+    most one per character.
+    """
+    lanes = m.shape[0]
+    one = np.uint64(1)
+    score, last, vp, vn, eq, xv, xh, hp, hn, bit, code = np.empty(
+        (11, lanes), dtype=np.uint64
+    )
+    code = code.view(np.int64)
+    ends = np.empty(lanes, dtype=bool)
+    out = m.copy()  # a lane with an empty text never steps: distance m
+    score[:] = m
+    last[:] = m - 1
+    vp[:] = ~np.uint64(0)
+    vn[:] = 0
+    for t in range(int(n.max())):
+        by_position[t].take(text, out=code, mode="clip")
+        np.add(code, base, out=code)
+        table.take(code, out=eq, mode="clip")
+        np.bitwise_or(eq, vn, out=xv)
+        np.bitwise_and(eq, vp, out=xh)
+        np.add(xh, vp, out=xh)
+        np.bitwise_xor(xh, vp, out=xh)
+        np.bitwise_or(xh, eq, out=xh)
+        np.bitwise_or(xh, vp, out=hp)
+        np.invert(hp, out=hp)
+        np.bitwise_or(hp, vn, out=hp)
+        np.bitwise_and(vp, xh, out=hn)
+        # score += bit (m - 1) of hp, -= bit (m - 1) of hn.
+        np.right_shift(hp, last, out=bit)
+        np.bitwise_and(bit, one, out=bit)
+        np.add(score, bit, out=score)
+        np.right_shift(hn, last, out=bit)
+        np.bitwise_and(bit, one, out=bit)
+        np.subtract(score, bit, out=score)
+        np.left_shift(hp, one, out=hp)
+        np.bitwise_or(hp, one, out=hp)
+        np.left_shift(hn, one, out=hn)
+        np.bitwise_or(xv, hp, out=vp)
+        np.invert(vp, out=vp)
+        np.bitwise_or(vp, hn, out=vp)
+        np.bitwise_and(hp, xv, out=vn)
+        np.equal(n, t + 1, out=ends)
+        np.copyto(out, score, where=ends, casting="unsafe")
+    return np.where(n > 0, np.minimum(out, budget + 1), out)
 
 
 def myers_distance_batch(np, patterns, texts, max_distances):
-    """Myers' recurrence over many (pattern, text) lanes at once.
+    """:func:`myers_distance_lanes` for lanes given as strings.
 
     ``patterns[k]``/``texts[k]``/``max_distances[k]`` describe lane
-    ``k``; every pattern must be non-empty and at most 64 characters
-    (the :func:`_myers_distance` contract), and every bound must be
-    ``>= 0``.  Returns an ``int64`` array where lane ``k`` holds exactly
-    what ``_myers_distance(patterns[k], texts[k], max_distances[k])``
-    returns — the exact distance, or ``max_distances[k] + 1`` once the
-    bound is provably exceeded.
-
-    The whole batch advances one text position per step: each lane's
-    DP column lives in one ``uint64`` element of the VP/VN arrays, so a
-    step is a fixed number of vectorized word operations regardless of
-    lane count.  Wrapping ``uint64`` addition is safe here for the same
-    reason Myers' C formulation is: the recurrence only ever reads bits
-    below each lane's own column mask, and a carry out of bit 63 can
-    never influence those.  Mixed pattern lengths share one batch —
-    the column mask, top-bit probe and initial score are per-lane
-    arrays.  Per-lane bookkeeping handles the ragged shapes:
-
-    * *equality masks* come from one combined table keyed by
-      ``(lane << 21) | code_point`` (patterns deduplicated via
-      :func:`myers_mask_table`), resolved for the whole padded text
-      matrix with a single ``searchsorted``; padding cells use a
-      sentinel above 0x10FFFF so their mask is 0,
-    * a lane stops consuming once its text is exhausted (its score is
-      frozen by the update mask) and dies early when the Ukkonen bound
-      ``score - remaining > max_distance`` trips, vector-wide via the
-      per-lane alive mask; the loop ends at the last live lane.
-
-    ``max_distances[k] >= len(texts[k])`` disables lane ``k``'s early
-    exit entirely (the distance can never exceed the longer side), so
-    passing the text length is the "unbounded" configuration.
+    ``k``.  A thin encoder — one integer code per distinct string —
+    over the array core, for callers that hold strings (the property
+    tests); the batch kernel hands its integer lanes to the core itself.
     """
     lanes = len(patterns)
-    if lanes == 0:
-        return np.empty(0, dtype=np.int64)
-    # Lanes usually repeat a much smaller set of distinct strings (the
-    # same block members pair up against each other), so every O(chars)
-    # cost — mask tables, code-point decoding — is paid per *distinct*
-    # pattern/text and broadcast to lanes by integer indexing.
-    pattern_of: dict[str, int] = {}
-    lane_pat = [
-        pattern_of.setdefault(p, len(pattern_of)) for p in patterns
-    ]
-    text_of: dict[str, int] = {}
-    lane_text = [text_of.setdefault(t, len(text_of)) for t in texts]
-    lane_pat_arr = np.fromiter(lane_pat, dtype=np.int64, count=lanes)
-    lane_text_arr = np.fromiter(lane_text, dtype=np.int64, count=lanes)
-    pat_lengths = np.fromiter(
-        (len(p) for p in pattern_of), dtype=np.int64, count=len(pattern_of)
+    code_of: dict[str, int] = {}
+    coded = np.fromiter(
+        (code_of.setdefault(s, len(code_of)) for s in (*patterns, *texts)),
+        dtype=np.int64, count=2 * lanes,
     )
-    text_lengths = np.fromiter(
-        (len(t) for t in text_of), dtype=np.int64, count=len(text_of)
+    return myers_distance_lanes(
+        np, list(code_of), coded[:lanes], coded[lanes:],
+        np.fromiter(max_distances, dtype=np.int64, count=lanes),
     )
-    m = pat_lengths[lane_pat_arr]
-    lengths = text_lengths[lane_text_arr]
-    budgets = np.fromiter(max_distances, dtype=np.int64, count=lanes)
-
-    # Combined equality-mask table keyed ``(pattern_id << 21) | code``,
-    # sorted by construction (pattern ids ascending in insertion order,
-    # code points ascending within a pattern).
-    key_parts: list[int] = []
-    mask_parts: list[int] = []
-    for pid, pattern in enumerate(pattern_of):
-        codes, masks = myers_mask_table(pattern)
-        base = pid << _BATCH_CHAR_BITS
-        key_parts.extend(base | code for code in codes)
-        mask_parts.extend(masks)
-    table_keys = np.fromiter(key_parts, dtype=np.int64, count=len(key_parts))
-    table_masks = np.fromiter(mask_parts, dtype=np.uint64, count=len(mask_parts))
-
-    # Padded code-point matrix over the *distinct* texts, then one
-    # gather + searchsorted pass resolves the whole lanes × lmax
-    # equality-mask matrix.
-    lmax = int(lengths.max())
-    if lmax == 0:
-        return m.copy()  # every text empty: distance == pattern length
-    tmat = np.full((len(text_of), lmax), _BATCH_PAD, dtype=np.int64)
-    all_codes = np.frombuffer(
-        "".join(text_of).encode("utf-32-le"), dtype="<u4"
-    ).astype(np.int64)
-    offset = 0
-    for tid, n in enumerate(text_lengths.tolist()):
-        tmat[tid, :n] = all_codes[offset:offset + n]
-        offset += n
-    keys = (lane_pat_arr << _BATCH_CHAR_BITS)[:, None] | tmat[lane_text_arr]
-    idx = np.minimum(np.searchsorted(table_keys, keys), len(table_keys) - 1)
-    eq = np.where(table_keys[idx] == keys, table_masks[idx], np.uint64(0))
-
-    # The recurrence: per-lane VP/VN words, one update per text position.
-    mask = np.uint64(0xFFFFFFFFFFFFFFFF) >> (np.uint64(64) - m.astype(np.uint64))
-    last_shift = (m - 1).astype(np.uint64)
-    one = np.uint64(1)
-    vp = mask.copy()
-    vn = np.zeros(lanes, dtype=np.uint64)
-    score = m.copy()
-    alive = np.ones(lanes, dtype=bool)
-    for t in range(lmax):
-        consuming = alive & (lengths > t)
-        if not consuming.any():
-            break
-        eqc = eq[:, t]
-        xv = eqc | vn
-        xh = (((eqc & vp) + vp) ^ vp) | eqc
-        hp = vn | ~(xh | vp)
-        hn = vp & xh
-        delta = ((hp >> last_shift) & one).astype(np.int64) - (
-            (hn >> last_shift) & one
-        ).astype(np.int64)
-        score = np.where(consuming, score + delta, score)
-        # Ukkonen early exit, vector-wide: the final distance can drop
-        # by at most one per remaining character.
-        dead = consuming & (score - (lengths - (t + 1)) > budgets)
-        if dead.any():
-            score[dead] = budgets[dead] + 1
-            alive &= ~dead
-        hp = ((hp << one) | one) & mask
-        hn = (hn << one) & mask
-        vp = (hn | ~(xv | hp)) & mask
-        vn = hp & xv
-    return score
 
 
 def _banded_distance(a: str, b: str, bound: int) -> int:

@@ -11,7 +11,8 @@ All three routing functions operate on keys only, never values, exactly
 as in the MR model.  Jobs may also define an associative ``combine``
 (the BDM job uses one as the paper's footnote 2 suggests) and a
 ``configure`` hook that mirrors Hadoop's per-task setup (``map
-configure(m, r, partitionIndex)`` in the paper's pseudo-code).
+configure(m, r, partitionIndex)`` in the paper's pseudo-code), with
+``finish_reduce`` as the reduce side's matching per-task teardown.
 """
 
 from __future__ import annotations
@@ -63,6 +64,12 @@ class TaskContext:
         self.reduce_index = reduce_index
         self.counters = Counters()
         self._side_writer = side_writer
+        #: Work ``reduce`` calls have put off until the job's
+        #: ``finish_reduce`` (the batched match jobs park their groups
+        #: and count their pairs here).  Per task, never shared: the
+        #: thread backend runs several tasks of one job at once.
+        self.pending: list = []
+        self.pending_pairs = 0
 
     @property
     def num_map_tasks(self) -> int:
@@ -109,6 +116,13 @@ class MapReduceJob:
 
     def configure_reduce(self, context: TaskContext) -> None:
         """Called once per reduce task before any ``reduce`` call."""
+
+    def finish_reduce(self, emit: "Emitter", context: TaskContext) -> None:
+        """Called once per reduce task after its last ``reduce`` call.
+
+        Hadoop's ``Reducer.cleanup()``: a job whose ``reduce`` put work
+        off (``context.pending``) completes and emits it here.
+        """
 
     # -- user functions ----------------------------------------------------
 

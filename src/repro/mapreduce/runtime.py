@@ -234,6 +234,7 @@ def execute_reduce_task(
         job.reduce(group.key, group.values, emit, context)
         context.counters.increment(StandardCounter.REDUCE_INPUT_GROUPS)
         context.counters.increment(StandardCounter.REDUCE_INPUT_RECORDS, len(group))
+    job.finish_reduce(emit, context)
     context.counters.increment(StandardCounter.REDUCE_OUTPUT_RECORDS, len(output))
     return ReduceTaskResult(
         reduce_index=reduce_index,

@@ -52,8 +52,10 @@ ENV_TOKEN = "REPRO_WORKER_TOKEN"
 #: Frame header: unsigned 64-bit big-endian payload length.
 _HEADER = struct.Struct(">Q")
 
-#: Refuse absurd frames (corrupt header / wrong protocol speaker).
-MAX_FRAME_BYTES = 1 << 40
+#: Refuse absurd frames (corrupt header / wrong protocol speaker) before
+#: reading any of them: the length prefix is the peer's word.  2 GiB is
+#: three orders of magnitude above the largest frame any workload ships.
+MAX_FRAME_BYTES = 1 << 31
 
 
 class TransportError(ConnectionError):
@@ -129,6 +131,8 @@ class Connection:
             return pickle.loads(self._recv_exact(length))
         except socket.timeout as exc:
             raise TransportError(f"no message within {timeout}s") from exc
+        except TransportError:
+            raise  # a ConnectionError too: keep it from the OSError clause
         except OSError as exc:
             raise ConnectionClosed(f"connection lost: {exc}") from exc
         finally:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+import time
+
 import pytest
 
 from repro.datasets.generators import (
@@ -10,6 +14,7 @@ from repro.datasets.generators import (
     DatasetProfile,
     ProductGenerator,
     PublicationGenerator,
+    _PrefixVocabulary,
     generate_products,
     generate_publications,
 )
@@ -113,3 +118,73 @@ class TestConvenienceFunctions:
     def test_generate_publications(self):
         entities = generate_publications(150, seed=9)
         assert len(entities) == 150
+
+
+class TestManyBlocks:
+    """Regression: the prefix vocabulary used to draw consonant-vowel-
+    consonant prefixes until it had enough, and there are only 16·5·16 =
+    1 280 of those — any profile with more blocks (DS1's 2 800, DS2's
+    8 000) never returned."""
+
+    @staticmethod
+    def _digest(entities) -> str:
+        h = hashlib.sha256()
+        for e in entities:
+            h.update(
+                repr((e.entity_id, sorted(e.attributes.items()), e.source)).encode()
+            )
+        return h.hexdigest()
+
+    def test_ds1_block_count_returns_promptly(self):
+        profile = DatasetProfile(
+            name="many-blocks", num_entities=3_000, num_blocks=2_800,
+            zipf_exponent=1.2,
+        )
+        generator = ProductGenerator(profile)
+        start = time.perf_counter()
+        entities = generator.generate()
+        assert time.perf_counter() - start < 1.0
+        assert len(entities) == 3_000
+        # At this size most Zipf blocks are empty; every block that has
+        # entities has a three-letter prefix of its own.
+        occupied = sum(1 for size in generator.block_sizes() if size)
+        assert len({e["title"][:3] for e in entities}) == occupied
+
+    def test_every_block_gets_its_own_prefix(self):
+        profile = DatasetProfile(
+            name="many-blocks", num_entities=40_000, num_blocks=2_800,
+            zipf_exponent=1.2,
+        )
+        entities = ProductGenerator(profile).generate()
+        assert len({e["title"][:3] for e in entities}) == 2_800
+
+    def test_vocabulary_covers_every_three_letter_prefix(self):
+        vocabulary = _PrefixVocabulary(["alpha", "beta"], 26 ** 3, random.Random(1))
+        words = [vocabulary.leading_word(k) for k in range(26 ** 3)]
+        assert len({word[:3] for word in words}) == 26 ** 3
+        assert words[:2] == ["alpha", "beta"]
+        # Same seed, fewer blocks: a prefix of the same vocabulary.
+        fewer = _PrefixVocabulary(["alpha", "beta"], 1_500, random.Random(1))
+        assert [fewer.leading_word(k) for k in range(1_500)] == words[:1_500]
+
+    def test_more_blocks_than_prefixes_is_refused(self):
+        with pytest.raises(ValueError, match="17576 distinct three-letter prefixes"):
+            _PrefixVocabulary([], 26 ** 3 + 1, random.Random(1))
+
+    @pytest.mark.parametrize(
+        "num_blocks,expected",
+        [
+            (25, "3c514537b33fb2b1089d128a5cf2b505f7bc0b6b67677ad5ef2b699dd694804a"),
+            (1_000, "ce3e2e1b3ef98f9974ffd52758cc9f249b675dec2fc4b434a0c18e40e8d10b23"),
+            (1_250, "2c869e0c81ed2bb376e45a6af80d7775a859c9b8837ee0a20d1accddae543401"),
+        ],
+    )
+    def test_corpora_that_worked_before_are_unchanged(self, num_blocks, expected):
+        """Digests recorded on the commit before the fix: block counts
+        the random draws could already serve keep their draw sequence,
+        so existing corpora, benchmark digests and doctests stand."""
+        profile = DatasetProfile(
+            name="products", num_entities=3_000, num_blocks=num_blocks,
+            zipf_exponent=1.2, seed=7,
+        )
+        assert self._digest(ProductGenerator(profile).generate()) == expected

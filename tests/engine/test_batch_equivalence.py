@@ -203,12 +203,13 @@ class TestTwoSourceAndDelta:
         assert _fingerprint(batched) == _fingerprint(scalar)
 
 
-class TestEvictionPressure:
-    """ISSUE 10 regression, pipeline level: with a memo cache smaller
-    than a group's distinct surviving pairs, the batch path must replay
-    the scalar LRU discipline — identical hit/miss counters and
-    identical residual cache across groups, hence identical
-    fingerprints."""
+class TestSmallMemo:
+    """Pipeline level, whatever the memo bound (ISSUE 10's inputs, where
+    a group has more distinct surviving pairs than ``memoize``): the
+    batched run equals the scalar run in matches, scores, per-task
+    outputs and job counters, and — the memo being the scalar path's
+    alone — leaves the matcher's ``_cache`` and cache counters exactly
+    as it found them, while the scalar run does use them."""
 
     def _run_small_memo(self, entities, *, batch, memoize):
         pipeline = ERPipeline(
@@ -219,21 +220,33 @@ class TestEvictionPressure:
             num_reduce_tasks=NUM_REDUCE,
             batch_kernel=batch,
         )
-        return pipeline.run(entities)
+        return pipeline.run(entities), pipeline.matcher
 
-    @pytest.mark.parametrize("memoize", [1, 2, 7])
-    def test_small_memo_matches_scalar(self, entities, memoize):
-        batched = self._run_small_memo(entities, batch=True, memoize=memoize)
-        scalar = self._run_small_memo(entities, batch=False, memoize=memoize)
+    def _check(self, entities, memoize):
+        batched, batch_matcher = self._run_small_memo(
+            entities, batch=True, memoize=memoize
+        )
+        scalar, scalar_matcher = self._run_small_memo(
+            entities, batch=False, memoize=memoize
+        )
         assert _fingerprint(batched) == _fingerprint(scalar)
         assert batched.matches.pair_ids
+        assert (batch_matcher.comparisons, batch_matcher.matches_found) == (
+            scalar_matcher.comparisons, scalar_matcher.matches_found
+        )
+        assert batch_matcher._cache == {}
+        assert (batch_matcher.cache_hits, batch_matcher.cache_misses) == (0, 0)
+        assert scalar_matcher.cache_misses > 0
+        assert len(scalar_matcher._cache) <= memoize
 
-    @pytest.mark.parametrize("memoize", [2, 7])
+    @pytest.mark.parametrize("memoize", [0, 1, 2, 3, 4096])
+    def test_small_memo_matches_scalar(self, entities, memoize):
+        self._check(entities, memoize)
+
+    @pytest.mark.parametrize("memoize", [0, 1, 2, 3, 4096])
     def test_small_memo_stdlib_path(self, entities, memoize, monkeypatch):
         monkeypatch.setattr(bk, "_numpy", None)
-        batched = self._run_small_memo(entities, batch=True, memoize=memoize)
-        scalar = self._run_small_memo(entities, batch=False, memoize=memoize)
-        assert _fingerprint(batched) == _fingerprint(scalar)
+        self._check(entities, memoize)
 
 
 class TestForcedStdlibEnv:

@@ -288,8 +288,17 @@ class TestMatcherSnapshots:
         # must be part of the submit-time snapshot like the comparison
         # counters — otherwise a matcher reused across runs reports
         # cache numbers leaked from the previous run.
+        # The memo and its counters belong to the per-pair path, so
+        # that is the path this runs on (batch_kernel=False).
         entities = generate_products(150, seed=38)
-        pipeline = _pipeline("blocksplit")
+        pipeline = ERPipeline(
+            "blocksplit",
+            PrefixBlocking("title"),
+            ThresholdMatcher("title", 0.8),
+            num_map_tasks=3,
+            num_reduce_tasks=5,
+            batch_kernel=False,
+        )
         first = pipeline.submit(entities)
         first.result()
         second = pipeline.submit(entities)
@@ -311,6 +320,16 @@ class TestMatcherSnapshots:
         )
         # ...so the second run's numbers are its own, not the total.
         assert second_stats.cache_misses < matcher.cache_misses
+
+    def test_batch_kernel_runs_report_no_cache_traffic(self):
+        # The default (batched) reduce path never consults the memo:
+        # same matches as the per-pair path, 0 hits / 0 misses.
+        entities = generate_products(150, seed=38)
+        execution = _pipeline("blocksplit").submit(entities)
+        result = execution.result()
+        stats = execution.matcher_stats()
+        assert stats.comparisons == result.total_comparisons() > 0
+        assert (stats.cache_hits, stats.cache_misses) == (0, 0)
 
     def test_cacheless_matcher_reports_zero_cache_stats(self):
         # Matchers without a verdict memo (anything but

@@ -5,8 +5,10 @@ scalar kernels, on both the numpy and the pure-stdlib path.
 score for score on arbitrary unicode batches — including empty strings,
 strings past the 64-char Myers limit, duplicated group members, and
 thresholds at both edges — and `ThresholdMatcher.match_batch` must
-emit exactly the pairs (same order, same counters) the scalar
-`match_prepared` loop emits.
+emit exactly the pairs (same order, same `comparisons` and
+`matches_found`) the scalar `match_prepared` loop emits, while leaving
+the matcher's verdict memo and its two cache counters alone: those
+belong to the scalar path.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import pytest
 
 import repro.er.batch_kernel as bk
 from repro.er.batch_kernel import (
+    ConcatPairs,
     CrossPairs,
     SpanPairs,
     TrianglePairs,
@@ -52,14 +55,14 @@ THRESHOLDS = [0.0, 0.3, 0.8, 1.0]
 def kernel_mode(request, monkeypatch):
     """Run the test body on both kernel paths.
 
-    ``numpy`` also drops the minimum-batch and minimum-lane heuristics
-    so small batches exercise the vectorized path all the way into the
-    batched Myers recurrence; ``stdlib`` blanks the module's numpy
-    handle, the same state a numpy-less interpreter starts in.
+    ``numpy`` also drops the minimum-batch heuristic so small batches
+    exercise the vectorized path all the way into the batched Myers
+    recurrence; ``stdlib`` blanks the module's numpy handle, the same
+    state a numpy-less interpreter (or ``REPRO_ER_FORCE_STDLIB=1``)
+    starts in.
     """
     if request.param == "numpy":
         monkeypatch.setattr(bk, "NUMPY_MIN_PAIRS", 0)
-        monkeypatch.setattr(bk, "MYERS_MIN_LANES", 0)
     else:
         monkeypatch.setattr(bk, "_numpy", None)
     return request.param
@@ -120,6 +123,56 @@ class TestPairSpecs:
         self._check(spec)
         self._check(SpanPairs([]))
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_concat(self, seed):
+        """Random member specs — empty ones included — at random
+        offsets: iter_pairs, pair_at(k) for every k and index_arrays
+        describe the members' pairs, shifted, in member order."""
+        rng = random.Random(500 + seed)
+        specs, offsets, expected = [], [], []
+        offset = 0
+        for _ in range(rng.randrange(1, 9)):
+            n = rng.randrange(0, 7)
+            kind = rng.randrange(4)
+            if kind == 0:
+                spec = TrianglePairs(n)
+            elif kind == 1:
+                spec = CrossPairs(rng.randrange(0, n + 1), n)
+            elif kind == 2:
+                spec = SpanPairs([
+                    (j, start, rng.randrange(start, j + 1))
+                    for j in range(1, n)
+                    for start in [rng.randrange(0, j)]
+                ])
+            else:
+                spec = SpanPairs([])  # a group with nothing to compare
+            offset += rng.randrange(0, 3)  # offsets need not be dense
+            specs.append(spec)
+            offsets.append(offset)
+            expected.extend((i + offset, j + offset) for i, j in spec.iter_pairs())
+            offset += n
+        concat = ConcatPairs(specs, offsets)
+        assert concat.count == len(expected) == sum(s.count for s in specs)
+        assert list(concat.iter_pairs()) == expected
+        self._check(concat)
+
+    def test_concat_of_concat_and_scores(self, kernel_mode):
+        """Scoring a concatenation ≡ scoring its members one by one."""
+        rng = random.Random(77)
+        groups = [_random_texts(rng, rng.randrange(0, 9)) for _ in range(7)]
+        specs = [TrianglePairs(len(g)) for g in groups]
+        offsets, texts = [], []
+        for g in groups:
+            offsets.append(len(texts))
+            texts.extend(g)
+        together = score_pair_batch(texts, ConcatPairs(specs, offsets), 0.8)
+        apart = [
+            float(x)
+            for g, spec in zip(groups, specs)
+            for x in score_pair_batch(g, spec, 0.8)
+        ]
+        assert [float(x) for x in together] == apart
+
 
 class TestMyersMasks:
     def test_masks_match_scalar_myers(self):
@@ -154,7 +207,7 @@ class TestScorePairBatch:
             texts = _random_texts(rng, rng.randrange(2, 14))
             spec = TrianglePairs(len(texts))
             threshold = rng.choice(THRESHOLDS)
-            scores, _hits, _misses = score_pair_batch(texts, spec, threshold)
+            scores = score_pair_batch(texts, spec, threshold)
             for k, (i, j) in enumerate(spec.iter_pairs()):
                 expected = levenshtein_similarity_bounded(
                     texts[i], texts[j], threshold
@@ -168,7 +221,7 @@ class TestScorePairBatch:
         texts = _random_texts(rng, 12)
         threshold = 0.8
         spec = TrianglePairs(len(texts))
-        scores, _, _ = score_pair_batch(texts, spec, threshold)
+        scores = score_pair_batch(texts, spec, threshold)
         for k, (i, j) in enumerate(spec.iter_pairs()):
             a, b = texts[i], texts[j]
             longest = max(len(a), len(b))
@@ -189,7 +242,7 @@ class TestScorePairBatch:
             CrossPairs(4, 10),
             SpanPairs([(2, 0, 2), (7, 1, 6), (9, 0, 9)]),
         ):
-            scores, _, _ = score_pair_batch(texts, spec, 0.8)
+            scores = score_pair_batch(texts, spec, 0.8)
             for k, (i, j) in enumerate(spec.iter_pairs()):
                 assert float(scores[k]) == levenshtein_similarity_bounded(
                     texts[i], texts[j], 0.8
@@ -198,7 +251,7 @@ class TestScorePairBatch:
     def test_matching_positions(self, kernel_mode):
         texts = ["kettle", "kettle", "kettlex", "other"]
         spec = TrianglePairs(4)
-        scores, _, _ = score_pair_batch(texts, spec, 0.8)
+        scores = score_pair_batch(texts, spec, 0.8)
         positions = matching_positions(scores, 0.8)
         expected = [
             k
@@ -208,8 +261,7 @@ class TestScorePairBatch:
         assert positions == expected
 
     def test_empty_batch(self, kernel_mode):
-        scores, hits, misses = score_pair_batch([], TrianglePairs(0), 0.8)
-        assert len(scores) == 0 and hits == 0 and misses == 0
+        assert len(score_pair_batch([], TrianglePairs(0), 0.8)) == 0
 
 
 def _scalar_oracle(matcher, prepared, spec):
@@ -222,12 +274,53 @@ def _scalar_oracle(matcher, prepared, spec):
     return out
 
 
+def _warm(matcher, rng):
+    """Put some state into the scalar memo and its counters, so "left
+    untouched" is a statement about a cache with something in it."""
+    entities = [
+        Entity(f"w{k}", {"title": "".join(rng.choice("kettles") for _ in range(6))})
+        for k in range(5)
+    ]
+    prepared = [matcher.prepare(e) for e in entities]
+    _scalar_oracle(matcher, prepared, TrianglePairs(len(prepared)))
+
+
+def _memo_state(matcher):
+    return (
+        list(matcher._cache.items()),  # contents *and* recency order
+        matcher.cache_hits,
+        matcher.cache_misses,
+    )
+
+
+def _ids(pairs):
+    return [(p.id1, p.id2, p.similarity) for p in pairs]
+
+
 class TestMatchBatchEquivalence:
+    """``match_batch`` ≡ the scalar loop in pairs, scores, ``comparisons``
+    and ``matches_found``; the verdict memo is the scalar path's alone,
+    so the batch leaves ``_cache`` and both cache counters exactly as it
+    found them, whatever ``memoize`` is."""
+
     def _entities(self, rng, n):
         return [
             Entity(f"e{k}", {"title": text})
             for k, text in enumerate(_random_texts(rng, n))
         ]
+
+    def _check_group(self, scalar, batched, entities, spec):
+        ps = [scalar.prepare(e) for e in entities]
+        pb = [batched.prepare(e) for e in entities]
+        before = _memo_state(batched)
+        base = (scalar.comparisons, scalar.matches_found)
+        base_b = (batched.comparisons, batched.matches_found)
+        expected = _scalar_oracle(scalar, ps, spec)
+        got = batched.match_batch(pb, spec)
+        assert _ids(got) == _ids(expected)
+        assert batched.comparisons - base_b[0] == scalar.comparisons - base[0]
+        assert batched.matches_found - base_b[1] == scalar.matches_found - base[1]
+        assert _memo_state(batched) == before
 
     @pytest.mark.parametrize("memoize", [4096, 0])
     @pytest.mark.parametrize("seed", range(3))
@@ -241,24 +334,23 @@ class TestMatchBatchEquivalence:
             spec = spec_factory(len(entities))
             scalar = ThresholdMatcher("title", 0.8, memoize=memoize)
             batched = ThresholdMatcher("title", 0.8, memoize=memoize)
-            ps = [scalar.prepare(e) for e in entities]
-            pb = [batched.prepare(e) for e in entities]
-            expected = _scalar_oracle(scalar, ps, spec)
-            got = batched.match_batch(pb, spec)
-            assert [(p.id1, p.id2, p.similarity) for p in got] == [
-                (p.id1, p.id2, p.similarity) for p in expected
-            ]
-            assert batched.comparisons == scalar.comparisons
-            assert batched.matches_found == scalar.matches_found
-            assert batched.cache_hits == scalar.cache_hits
-            assert batched.cache_misses == scalar.cache_misses
+            _warm(batched, rng)
+            self._check_group(scalar, batched, entities, spec)
+
+    def test_fresh_matcher_reports_no_cache_traffic(self, kernel_mode):
+        entities = self._entities(random.Random(8100), 10)
+        matcher = ThresholdMatcher("title", 0.8)
+        prepared = [matcher.prepare(e) for e in entities]
+        matcher.match_batch(prepared, TrianglePairs(len(prepared)))
+        assert matcher.comparisons == 45
+        assert _memo_state(matcher) == ([], 0, 0)
 
     @pytest.mark.parametrize("memoize", [1, 2, 3])
     def test_eviction_pressure_counters_and_cache(self, kernel_mode, memoize):
-        """ISSUE 10 regression: a group with more distinct surviving
-        pairs than ``memoize`` must advance hit/miss counters *and*
-        leave the LRU cache — contents and recency order — exactly as
-        the scalar loop does, or later groups diverge."""
+        """A group with more distinct surviving pairs than ``memoize``
+        (ISSUE 10's regression input): the scalar loop evicts on nearly
+        every pair, the batch must still agree with it on every match
+        and must not evict, insert or reorder anything."""
         entities = [
             Entity(f"e{k}", {"title": title})
             for k, title in enumerate(
@@ -266,52 +358,28 @@ class TestMatchBatchEquivalence:
                  "kettle", "kettlex"]
             )
         ]
-        spec = TrianglePairs(len(entities))
         scalar = ThresholdMatcher("title", 0.8, memoize=memoize)
         batched = ThresholdMatcher("title", 0.8, memoize=memoize)
-        ps = [scalar.prepare(e) for e in entities]
-        pb = [batched.prepare(e) for e in entities]
-        expected = _scalar_oracle(scalar, ps, spec)
-        got = batched.match_batch(pb, spec)
-        assert [(p.id1, p.id2, p.similarity) for p in got] == [
-            (p.id1, p.id2, p.similarity) for p in expected
-        ]
-        assert (batched.cache_hits, batched.cache_misses) == (
-            scalar.cache_hits,
-            scalar.cache_misses,
-        )
-        assert list(batched._cache.items()) == list(scalar._cache.items())
+        _warm(batched, random.Random(memoize))
+        assert len(batched._cache) == memoize  # full: any insert would evict
+        self._check_group(scalar, batched, entities, TrianglePairs(len(entities)))
 
     @pytest.mark.parametrize("memoize", [1, 2, 3, 4096])
     @pytest.mark.parametrize("seed", range(3))
     def test_eviction_pressure_across_groups(self, kernel_mode, memoize, seed):
-        """Residual cache state must keep scalar and batch counters in
-        lockstep across a *sequence* of groups sharing one matcher."""
+        """A *sequence* of groups sharing one matcher, scalar calls
+        interleaved: the batch stays in lockstep with the scalar loop on
+        matches and match counters, and the memo only ever changes in
+        the scalar calls."""
         rng = random.Random(9500 + seed)
         scalar = ThresholdMatcher("title", 0.8, memoize=memoize)
         batched = ThresholdMatcher("title", 0.8, memoize=memoize)
         for _ in range(5):
             entities = self._entities(rng, rng.randrange(3, 9))
-            spec = TrianglePairs(len(entities))
-            ps = [scalar.prepare(e) for e in entities]
-            pb = [batched.prepare(e) for e in entities]
-            expected = _scalar_oracle(scalar, ps, spec)
-            got = batched.match_batch(pb, spec)
-            assert [(p.id1, p.id2, p.similarity) for p in got] == [
-                (p.id1, p.id2, p.similarity) for p in expected
-            ]
-            assert (
-                batched.comparisons,
-                batched.matches_found,
-                batched.cache_hits,
-                batched.cache_misses,
-            ) == (
-                scalar.comparisons,
-                scalar.matches_found,
-                scalar.cache_hits,
-                scalar.cache_misses,
+            self._check_group(
+                scalar, batched, entities, TrianglePairs(len(entities))
             )
-            assert list(batched._cache.items()) == list(scalar._cache.items())
+            _warm(batched, rng)  # the scalar path keeps using the memo
 
     def test_base_matcher_batches_via_match_prepared(self):
         """Custom matchers get the identity batching: per-pair calls in

@@ -24,7 +24,9 @@ from repro.er.similarity import (
     levenshtein_similarity_bounded,
     levenshtein_similarity_bounded_reference,
     myers_distance_batch,
+    myers_distance_lanes,
     myers_mask_table,
+    myers_masks,
     similarity_at_least,
 )
 
@@ -220,7 +222,7 @@ class TestMyersDistanceBatch:
 
     def test_non_bmp_lanes(self):
         """Astral-plane code points must round-trip the utf-32 packing
-        and the combined (pattern_id, code) equality table."""
+        and the dense-alphabet equality table."""
         got = myers_distance_batch(
             self._np(),
             ["😀😀a", "😀", "中文ß"],
@@ -234,12 +236,89 @@ class TestMyersDistanceBatch:
         ]
 
     def test_mask_table_matches_scalar_packing(self):
-        codes, masks = myers_mask_table("abca")
-        assert codes == sorted(codes)
-        table = dict(zip(codes, masks))
-        assert table[ord("a")] == 0b1001
-        assert table[ord("b")] == 0b0010
-        assert table[ord("c")] == 0b0100
+        np = self._np()
+        # Dense codes: a=1, b=2, c=3; second row "cb" padded with 0.
+        codes = np.array([[1, 2, 3, 1], [3, 2, 0, 0]], dtype=np.int64)
+        table = myers_mask_table(np, codes, 5)
+        assert table.shape == (2, 5)
+        assert table[0].tolist() == [0, 0b1001, 0b0010, 0b0100, 0]
+        assert table[1].tolist() == [0, 0, 0b10, 0b01, 0]
+        peq = myers_masks("abca")[0]
+        assert [peq[ch] for ch in "abc"] == table[0, 1:4].tolist()
+
+
+@needs_numpy
+class TestMyersDistanceLanes:
+    """Fuzz of the array core itself — integer lanes over a shared string
+    table, the form the batch kernel calls — against scalar Myers and
+    the reference DP."""
+
+    def _check(self, strings, lanes):
+        np = active_numpy()
+        pattern = np.array([p for p, _t, _k in lanes], dtype=np.int64)
+        text = np.array([t for _p, t, _k in lanes], dtype=np.int64)
+        budget = np.array([k for _p, _t, k in lanes], dtype=np.int64)
+        got = myers_distance_lanes(np, strings, pattern, text, budget).tolist()
+        for (p, t, k), distance in zip(lanes, got):
+            assert distance == _myers_distance(strings[p], strings[t], k), (
+                strings[p], strings[t], k
+            )
+            exact = levenshtein_distance_reference(strings[p], strings[t])
+            # An empty text never steps, so no bound can trip on it.
+            bounded = exact <= k or not strings[t]
+            assert distance == (exact if bounded else k + 1)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_lanes_over_a_shared_string_table(self, seed):
+        rng = random.Random(13000 + seed)
+        strings = [""]
+        for length in (1, 1, 2, 5, 13, 30, 63, 64, 64, 65, 90, 130):
+            strings.append("".join(rng.choice(ALPHABET) for _ in range(length)))
+        for _ in range(20):  # near-duplicates of what is already there
+            base = list(rng.choice(strings[1:]))
+            base[rng.randrange(len(base))] = rng.choice(ALPHABET)
+            strings.append("".join(base))
+        patterns = [i for i, s in enumerate(strings) if 1 <= len(s) <= 64]
+        lanes = []
+        for _ in range(400):
+            p = rng.choice(patterns)
+            t = rng.randrange(len(strings))  # incl. the empty string and > 64
+            k = rng.choice([0, 0, 1, 2, 5, len(strings[t]), 10**6])
+            lanes.append((p, t, k))
+        self._check(strings, lanes)
+
+    def test_duplicate_heavy_lanes(self):
+        """Few strings, many lanes: every pattern row and text row is
+        shared, and the same lane occurs many times."""
+        strings = ["kettle", "kettles", "settle", "😀ettle", "kettl"]
+        rng = random.Random(5)
+        lanes = [
+            (rng.randrange(5), rng.randrange(5), rng.choice([0, 1, 2, 7]))
+            for _ in range(500)
+        ]
+        self._check(strings, lanes)
+
+    def test_alphabet_larger_than_lane_count(self):
+        """Three lanes over ~300 distinct code points: the dense mask
+        table (patterns × alphabet) would outgrow 64 masks per lane, so
+        the patterns are scored in slices — same distances."""
+        strings = [
+            "".join(chr(0x4E00 + 64 * k + i) for i in range(60)) for k in range(5)
+        ]
+        strings.append(strings[0][:30] + strings[1][30:])
+        lanes = [(0, 5, 100), (1, 5, 100), (2, 3, 100), (4, 5, 3)]
+        self._check(strings, lanes)
+        many = [(p, t, 100) for p in range(6) for t in range(6)]
+        self._check(strings, many)
+
+    def test_strings_the_lanes_do_not_use_are_ignored(self):
+        strings = ["x" * 5000, "abc", "abd", "y" * 70]
+        self._check(strings, [(1, 2, 5), (2, 1, 0)])
+
+    def test_no_lanes(self):
+        np = active_numpy()
+        empty = np.empty(0, dtype=np.int64)
+        assert myers_distance_lanes(np, ["a"], empty, empty, empty).shape == (0,)
 
 
 class TestSimilarityAtLeast:

@@ -203,16 +203,25 @@ class TestMemoisationObservability:
         assert _fingerprint(base) == _fingerprint(no_memo)
 
     def test_cache_stats_exposed(self, entities):
-        matcher = ThresholdMatcher("title", THRESHOLD)
-        with packed_keys(True):
-            ERPipeline(
-                "blocksplit",
-                PrefixBlocking("title"),
-                matcher,
-                num_map_tasks=NUM_SHARDS,
-                num_reduce_tasks=NUM_REDUCE,
-            ).run(entities)
+        # The memo is the per-pair path's (batch_kernel=False); the
+        # batched default never consults it.
+        stats = {}
+        for batch_kernel in (False, True):
+            matcher = ThresholdMatcher("title", THRESHOLD)
+            with packed_keys(True):
+                ERPipeline(
+                    "blocksplit",
+                    PrefixBlocking("title"),
+                    matcher,
+                    num_map_tasks=NUM_SHARDS,
+                    num_reduce_tasks=NUM_REDUCE,
+                    batch_kernel=batch_kernel,
+                ).run(entities)
+            stats[batch_kernel] = matcher
+        matcher = stats[False]
         assert matcher.cache_misses > 0
         # Identity and length-filter short-circuits bypass the cache, so
         # cached-path comparisons are a subset of all comparisons.
         assert 0 < matcher.cache_hits + matcher.cache_misses <= matcher.comparisons
+        assert stats[True].comparisons == matcher.comparisons
+        assert (stats[True].cache_hits, stats[True].cache_misses) == (0, 0)
