@@ -12,7 +12,7 @@ from repro.analysis.experiments import bdm_for_block_sizes
 from repro.analysis.reporting import format_table
 from repro.cluster.simulation import ClusterSpec
 from repro.core.planning import plan_bdm_job, plan_blocksplit
-from repro.core.workflow import simulate_planned_workflow
+from repro.engine import simulate_planned_workflow
 
 from conftest import ds1_block_sizes, publish
 

@@ -71,7 +71,7 @@ def test_fig10_reduce_tasks(benchmark):
     # §VI-B: the BDM job overhead included in balanced times is ~35 s.
     from repro.cluster.simulation import ClusterSpec
     from repro.core.planning import plan_bdm_job, plan_blocksplit
-    from repro.core.workflow import simulate_planned_workflow
+    from repro.engine import simulate_planned_workflow
 
     bdm = bdm_for_block_sizes(list(ds1_block_sizes()), 20, seed=13)
     timeline = simulate_planned_workflow(

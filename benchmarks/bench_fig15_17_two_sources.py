@@ -21,7 +21,7 @@ from repro.core.planning import (
     plan_dual_pairrange,
 )
 from repro.core.two_source import DualSourceBDM
-from repro.core.workflow import simulate_planned_workflow
+from repro.engine import simulate_planned_workflow
 from repro.datasets.partitioning import distribute_block_sizes
 from repro.datasets.skew import zipf_block_sizes
 

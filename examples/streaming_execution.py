@@ -5,7 +5,8 @@ matches arrive as reduce task units complete, an event callback
 narrates the task lifecycle, the result is persisted to versioned
 JSON, and a strategy sweep is replanned from the file alone (no
 re-execution).  A second, asyncio-flavoured pass does the same through
-``submit_async`` on the ``"async"`` backend.
+``submit_async`` — the asyncio bridges live on the handle, so any
+backend serves; here thread workers keep the task units off the loop.
 
 Run:  python examples/streaming_execution.py
 """
@@ -61,9 +62,10 @@ def main() -> None:
         )
         print(f"  r={r:>3}: {times}")
 
-    # 4. The same handle surface, from asyncio, on the async backend.
+    # 4. The same handle surface, from asyncio, on thread workers.
     async def async_pass() -> int:
-        handle = await pipeline.with_backend("async").submit_async(entities)
+        threaded = pipeline.with_backend("parallel", executor="thread")
+        handle = await threaded.submit_async(entities)
         count = 0
         async for _pair in handle.aiter_matches():
             count += 1
@@ -71,7 +73,7 @@ def main() -> None:
         assert final.matches == result.matches  # byte-identical across backends
         return count
 
-    print(f"\nasync backend streamed {asyncio.run(async_pass())} matches "
+    print(f"\nsubmit_async streamed {asyncio.run(async_pass())} matches "
           "(byte-identical result)")
 
 

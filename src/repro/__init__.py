@@ -61,8 +61,6 @@ from .core import (
     BlockDistributionMatrix,
     BlockSplitStrategy,
     DualSourceBDM,
-    ERWorkflow,
-    ERWorkflowResult,
     LoadBalancingStrategy,
     PairEnumeration,
     PairRangeSpec,
@@ -98,7 +96,6 @@ from .datasets import (
 )
 from .engine import (
     BACKENDS,
-    AsyncBackend,
     ERPipeline,
     ExecutionBackend,
     ExecutionEvent,
@@ -141,7 +138,7 @@ from .mapreduce import (
     make_partitions,
 )
 
-__version__ = "1.3.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "SimulatedRun",
@@ -164,8 +161,6 @@ __all__ = [
     "BlockDistributionMatrix",
     "BlockSplitStrategy",
     "DualSourceBDM",
-    "ERWorkflow",
-    "ERWorkflowResult",
     "LoadBalancingStrategy",
     "PairEnumeration",
     "PairRangeSpec",
@@ -174,7 +169,6 @@ __all__ = [
     "StrategyPlan",
     "register_strategy",
     "BACKENDS",
-    "AsyncBackend",
     "ERPipeline",
     "ExecutionBackend",
     "ExecutionEvent",

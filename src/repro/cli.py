@@ -14,10 +14,10 @@ Nine subcommands cover the library's main entry points::
 
 ``dedup``/``link`` run the real two-job workflow through
 :class:`~repro.engine.ERPipeline` — ``--backend parallel`` fans the
-map/reduce tasks out over a worker pool (``async`` over an asyncio
-loop, ``distributed`` over worker processes connected by loopback
-sockets, with ``--task-timeout`` guarding against hung workers and
-``--max-worker-respawns`` letting the pool heal after losses),
+map/reduce tasks out over a worker pool (``distributed`` over worker
+processes connected by loopback sockets, with ``--task-timeout``
+guarding against hung workers and ``--max-worker-respawns`` letting the
+pool heal after losses),
 ``--input-format csv-shards`` streams the input through the
 :mod:`repro.io` record-source layer (``columnar`` serves it from a
 memory-mapped dataset written by ``pack``), ``--no-batch-kernel``
@@ -67,6 +67,9 @@ from .analysis.metrics import WorkloadStats
 from .analysis.reporting import format_table
 from .core.missing_keys import resolve_with_missing_keys
 from .core.statistics import bdm_statistics, recommend_strategy
+from .engine.backend import get_backend
+from .engine.incremental import CorpusState
+from .engine.persistence import STATE_FILE, PersistenceError, load_state, save_state
 from .engine.pipeline import ERPipeline
 from .datasets.generators import (
     DS1_PROFILE,
@@ -77,8 +80,9 @@ from .datasets.generators import (
 from .datasets.loaders import load_entities_csv, save_entities_csv
 from .datasets.skew import zipf_block_sizes
 from .er.blocking import PrefixBlocking
-from .er.matching import MatchResult, ThresholdMatcher
+from .er.matching import ThresholdMatcher
 from .io.sources import CsvShardSource, RecordSource
+from .mapreduce.types import make_partitions
 
 
 def _positive_int(text: str) -> int:
@@ -93,6 +97,51 @@ def _positive_float(text: str) -> float:
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
+
+
+def _add_pipeline_flags(sub: argparse.ArgumentParser, *, local: bool = True) -> None:
+    """The flags ``dedup``, ``link``, ``ingest`` and ``submit`` share —
+    strategy, blocking, matcher, task counts, kernel switch, --progress
+    — declared once; :func:`_pipeline` reads them back.  ``local`` adds
+    the local execution flags (--backend and what configures it);
+    ``submit`` has none, the daemon's pool executes."""
+    sub.add_argument("--strategy", choices=["basic", "blocksplit", "pairrange"],
+                     default="blocksplit")
+    sub.add_argument("--attribute", default="title")
+    sub.add_argument("--prefix-length", type=int, default=3)
+    sub.add_argument("--threshold", type=float, default=0.8)
+    sub.add_argument("-m", "--map-tasks", type=int, default=4)
+    sub.add_argument("-r", "--reduce-tasks", type=int, default=8)
+    if local:
+        sub.add_argument("--backend",
+                         choices=["serial", "parallel", "distributed"],
+                         default="serial",
+                         help="execution backend (parallel = worker pool, "
+                              "distributed = worker processes over sockets)")
+        sub.add_argument("--workers", type=_positive_int, default=None,
+                         help="pool size for --backend parallel "
+                              "(default: all cores) or worker-process count "
+                              "for --backend distributed (default: 2)")
+        sub.add_argument("--task-timeout", type=_positive_float, default=None,
+                         help="for --backend distributed: seconds one task "
+                              "may run on a worker before the worker is "
+                              "presumed hung, killed, and the task requeued")
+        sub.add_argument("--max-worker-respawns", type=int, default=None,
+                         metavar="N",
+                         help="for --backend distributed: replacement "
+                              "workers that may be spawned after losses "
+                              "(default 0: the pool only shrinks)")
+        sub.add_argument("--memory-budget", type=_positive_int, default=None,
+                         help="max map-output records buffered in memory "
+                              "during the shuffle; the rest spills through "
+                              "sorted run files on disk (same results)")
+    sub.add_argument("--no-batch-kernel", action="store_true",
+                     help="score pairs one at a time instead of through "
+                          "the batched similarity kernel (byte-identical "
+                          "results; mainly for benchmarking)")
+    sub.add_argument("--progress", action="store_true",
+                     help="stream task lifecycle events to stderr while "
+                          "the pipeline runs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -152,43 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "inputs are dataset directories written "
                                   "by 'pack'")
         sub.add_argument("--output", required=True)
-        sub.add_argument("--strategy", choices=["basic", "blocksplit", "pairrange"],
-                         default="blocksplit")
-        sub.add_argument("--attribute", default="title")
-        sub.add_argument("--prefix-length", type=int, default=3)
-        sub.add_argument("--threshold", type=float, default=0.8)
-        sub.add_argument("-m", "--map-tasks", type=int, default=4)
-        sub.add_argument("-r", "--reduce-tasks", type=int, default=8)
-        sub.add_argument("--backend",
-                         choices=["serial", "parallel", "async", "distributed"],
-                         default="serial",
-                         help="execution backend (parallel = worker pool, "
-                              "async = asyncio task units, distributed = "
-                              "worker processes over sockets)")
-        sub.add_argument("--workers", type=_positive_int, default=None,
-                         help="pool size for --backend parallel/async "
-                              "(default: all cores) or worker-process count "
-                              "for --backend distributed (default: 2)")
-        sub.add_argument("--task-timeout", type=_positive_float, default=None,
-                         help="for --backend distributed: seconds one task "
-                              "may run on a worker before the worker is "
-                              "presumed hung, killed, and the task requeued")
-        sub.add_argument("--max-worker-respawns", type=int, default=None,
-                         metavar="N",
-                         help="for --backend distributed: replacement "
-                              "workers that may be spawned after losses "
-                              "(default 0: the pool only shrinks)")
-        sub.add_argument("--memory-budget", type=_positive_int, default=None,
-                         help="max map-output records buffered in memory "
-                              "during the shuffle; the rest spills through "
-                              "sorted run files on disk (same results)")
-        sub.add_argument("--no-batch-kernel", action="store_true",
-                         help="score pairs one at a time instead of through "
-                              "the batched similarity kernel (byte-identical "
-                              "results; mainly for benchmarking)")
-        sub.add_argument("--progress", action="store_true",
-                         help="stream task lifecycle events to stderr while "
-                              "the pipeline runs")
+        _add_pipeline_flags(sub)
         sub.add_argument("--save-result", metavar="PATH", default=None,
                          help="persist the full PipelineResult as versioned "
                               "JSON (replayable with 'simulate "
@@ -223,42 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--server", default=None, metavar="HOST:PORT",
                         help="run the ingest on a remote ER server "
                              "started with --state-root (the state "
-                             "stays server-resident)")
+                             "stays server-resident; --backend is "
+                             "ignored, the daemon's shared pool executes)")
     ingest.add_argument("--token", default=None,
                         help="service token for --server (default: the "
                              "REPRO_SERVE_TOKEN environment variable)")
-    ingest.add_argument("--strategy", choices=["basic", "blocksplit", "pairrange"],
-                        default="blocksplit")
-    ingest.add_argument("--attribute", default="title")
-    ingest.add_argument("--prefix-length", type=int, default=3)
-    ingest.add_argument("--threshold", type=float, default=0.8)
-    ingest.add_argument("-m", "--map-tasks", type=int, default=4)
-    ingest.add_argument("-r", "--reduce-tasks", type=int, default=8)
-    ingest.add_argument("--backend",
-                        choices=["serial", "parallel", "async", "distributed"],
-                        default="serial",
-                        help="execution backend for the delta run "
-                             "(ignored with --server: the daemon's "
-                             "shared pool executes)")
-    ingest.add_argument("--workers", type=_positive_int, default=None,
-                        help="pool size for --backend parallel/async, "
-                             "worker-process count for distributed")
-    ingest.add_argument("--task-timeout", type=_positive_float, default=None,
-                        help="for --backend distributed: per-task "
-                             "timeout before a worker is presumed hung")
-    ingest.add_argument("--max-worker-respawns", type=int, default=None,
-                        metavar="N",
-                        help="for --backend distributed: replacement "
-                             "workers after losses (default 0)")
-    ingest.add_argument("--memory-budget", type=_positive_int, default=None,
-                        help="max map-output records buffered in memory "
-                             "during the shuffle (rest spills to disk)")
-    ingest.add_argument("--no-batch-kernel", action="store_true",
-                        help="score pairs one at a time instead of through "
-                             "the batched similarity kernel (byte-identical "
-                             "results)")
-    ingest.add_argument("--progress", action="store_true",
-                        help="stream task lifecycle events to stderr")
+    _add_pipeline_flags(ingest)
 
     serve = subparsers.add_parser(
         "serve",
@@ -284,20 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="memory = CSV input; columnar = --input is a "
                              "dataset directory written by 'pack'")
     submit.add_argument("--output", required=True)
-    submit.add_argument("--no-batch-kernel", action="store_true",
-                        help="ask the server to score pairs one at a time "
-                             "instead of through the batched similarity "
-                             "kernel (byte-identical results)")
-    submit.add_argument("--strategy", choices=["basic", "blocksplit", "pairrange"],
-                        default="blocksplit")
-    submit.add_argument("--attribute", default="title")
-    submit.add_argument("--prefix-length", type=int, default=3)
-    submit.add_argument("--threshold", type=float, default=0.8)
-    submit.add_argument("-m", "--map-tasks", type=int, default=4)
-    submit.add_argument("-r", "--reduce-tasks", type=int, default=8)
-    submit.add_argument("--progress", action="store_true",
-                        help="stream forwarded task lifecycle events to "
-                             "stderr while the job runs remotely")
+    _add_pipeline_flags(submit, local=False)
 
     simulate = subparsers.add_parser(
         "simulate", help="simulate strategies on a cluster (analytic planners)"
@@ -349,39 +319,54 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _backend(args: argparse.Namespace):
     """Resolve the --backend/--workers/--task-timeout flags to a backend."""
-    from .engine.backend import get_backend
-
-    task_timeout = getattr(args, "task_timeout", None)
-    if task_timeout is not None and args.backend != "distributed":
+    if args.task_timeout is not None and args.backend != "distributed":
         raise SystemExit(
             f"repro-er {args.command}: error: --task-timeout requires "
             "--backend distributed"
         )
-    max_worker_respawns = getattr(args, "max_worker_respawns", None)
-    if max_worker_respawns is not None and args.backend != "distributed":
+    if args.max_worker_respawns is not None and args.backend != "distributed":
         raise SystemExit(
             f"repro-er {args.command}: error: --max-worker-respawns "
             "requires --backend distributed"
         )
     if args.backend == "parallel":
         return get_backend("parallel", max_workers=args.workers)
-    if args.backend == "async":
-        return get_backend("async", max_concurrency=args.workers)
     if args.backend == "distributed":
         return get_backend(
             "distributed",
             num_workers=args.workers,
-            task_timeout=task_timeout,
-            max_worker_respawns=(
-                max_worker_respawns if max_worker_respawns is not None else 0
-            ),
+            task_timeout=args.task_timeout,
+            max_worker_respawns=args.max_worker_respawns or 0,
         )
     if args.workers is not None:
         raise SystemExit(
             f"repro-er {args.command}: error: --workers requires "
-            "--backend parallel, async or distributed"
+            "--backend parallel or distributed"
         )
     return get_backend(args.backend)
+
+
+def _pipeline(args: argparse.Namespace, *, remote: bool = False) -> ERPipeline:
+    """The :class:`ERPipeline` the shared flags describe.
+
+    ``remote`` builds it for shipping to a daemon: only the resolved
+    request travels and the server's shared pool executes it, so the
+    local execution flags are not consulted (the batch-kernel flag
+    rides along inside the request).
+    """
+    local = {} if remote else {
+        "backend": _backend(args),
+        "memory_budget": args.memory_budget,
+    }
+    return ERPipeline(
+        args.strategy,
+        PrefixBlocking(args.attribute, args.prefix_length),
+        ThresholdMatcher(args.attribute, args.threshold),
+        num_map_tasks=args.map_tasks,
+        num_reduce_tasks=args.reduce_tasks,
+        batch_kernel=not args.no_batch_kernel,
+        **local,
+    )
 
 
 def _progress_printer(stream):
@@ -415,43 +400,95 @@ def _progress_printer(stream):
     return on_event
 
 
-def _stream_matches(execution, path: str) -> int:
-    """Drain ``execution.iter_matches()`` into a CSV as rows arrive.
+def _stream_matches(pairs, path: str) -> int:
+    """Drain an iterable of match pairs into a CSV as rows arrive.
 
-    This is the streaming ``--output`` sink: each match is written (and
-    flushed) the moment its reduce task unit completes, so the file
-    grows while the run executes instead of appearing at the end.  The
-    row order is the deterministic stream order — identical across
-    local backends and remote submission for the same pipeline.  Works
-    with any handle offering ``iter_matches()`` (a local
-    ``PipelineExecution`` or a remote ``RemoteExecution``).  Returns
-    the number of matches written.
+    This is the streaming ``--output`` sink: fed an execution handle's
+    ``iter_matches()`` (a local ``PipelineExecution`` or a remote
+    ``RemoteExecution``), each match is written (and flushed) the
+    moment its reduce task unit completes, so the file grows while the
+    run executes instead of appearing at the end.  The row order is the
+    deterministic stream order — identical across local backends and
+    remote submission for the same pipeline.  Returns the number of
+    matches written.
     """
     count = 0
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["id1", "id2", "similarity"])
-        for pair in execution.iter_matches():
+        for pair in pairs:
             writer.writerow([pair.id1, pair.id2, f"{pair.similarity:.6f}"])
             handle.flush()
             count += 1
     return count
 
 
-def _run_pipeline(pipeline: ERPipeline, args: argparse.Namespace, *run_args, **run_kwargs):
+def _run_pipeline(submit, args: argparse.Namespace, *run_args):
     """Submit, stream matches into --output, persist on request.
 
+    ``submit`` is the pipeline's ``submit`` or ``submit_delta``.
     Returns ``(result, match_count)``; the output CSV is already
     written (streamed during execution) when this returns.
     """
     on_event = _progress_printer(sys.stderr) if args.progress else None
-    execution = pipeline.submit(*run_args, on_event=on_event, **run_kwargs)
-    count = _stream_matches(execution, args.output)
+    execution = submit(*run_args, on_event=on_event)
+    count = _stream_matches(execution.iter_matches(), args.output)
     result = execution.result()
-    if args.save_result:
+    if getattr(args, "save_result", None):
         path = result.save(args.save_result)
         print(f"saved result to {path}")
     return result, count
+
+
+def _run_on_server(args: argparse.Namespace, submit):
+    """Run ``args.input`` on the ``--server`` daemon and stream the
+    matches into --output.
+
+    ``submit(client, pipeline, entities)`` picks the operation and
+    returns its remote execution handle.  Returns ``(number of input
+    entities, result, match count)``, or ``None`` after reporting a
+    malformed address, a missing token, an unreachable server or a
+    rejected submission on stderr — the caller exits with code 2.
+    """
+    from .serve.client import (
+        ServeClient,
+        ServeConnectionError,
+        SubmissionRejected,
+    )
+
+    host, _, port_text = args.server.rpartition(":")
+    if not host or not port_text.isdigit():
+        print(f"error: --server must be HOST:PORT, got {args.server!r}",
+              file=sys.stderr)
+        return None
+    entities = _load_entities(args, args.input)
+    on_event = _progress_printer(sys.stderr) if args.progress else None
+    try:
+        with ServeClient(
+            host, int(port_text), token=args.token, on_event=on_event
+        ) as client:
+            execution = submit(client, _pipeline(args, remote=True), entities)
+            count = _stream_matches(execution.iter_matches(), args.output)
+            return len(entities), execution.result(), count
+    # ValueError: no token available.
+    except (ValueError, ServeConnectionError, SubmissionRejected) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
+def _ingest(args: argparse.Namespace, pipeline: ERPipeline, entities, state, directory):
+    """Match ``entities`` against ``state`` as a delta run (streaming
+    the new matches into --output) and commit the advanced state to
+    ``directory``.  Returns ``(result, match_count, advanced state)``.
+    """
+    partitions = make_partitions(entities, args.map_tasks)
+    result, count = _run_pipeline(pipeline.submit_delta, args, partitions, state)
+    # The state only advances after the run fully succeeded (a raised
+    # result above leaves the directory untouched), and the save itself
+    # is write-then-rename with state.json as the commit point.
+    advanced = state.advanced(result, partitions, pipeline.blocking)
+    save_state(advanced, directory)
+    return result, count, advanced
 
 
 def _columnar_source(path: str, command: str, *, source: str | None = None):
@@ -472,16 +509,6 @@ def _load_entities(args: argparse.Namespace, path: str, *, source: str | None = 
             _columnar_source(path, args.command, source=source).iter_records()
         )
     return load_entities_csv(path, source=source)
-
-
-def _write_matches(matches: MatchResult, path: str) -> None:
-    """Buffered sink for code paths without an execution handle (the
-    missing-keys fallback merges several runs into bare matches)."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["id1", "id2", "similarity"])
-        for pair in matches:
-            writer.writerow([pair.id1, pair.id2, f"{pair.similarity:.6f}"])
 
 
 def cmd_pack(args: argparse.Namespace) -> int:
@@ -512,10 +539,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_dedup(args: argparse.Namespace) -> int:
-    blocking = PrefixBlocking(args.attribute, args.prefix_length)
     if args.save_state is not None:
-        from .engine.persistence import STATE_FILE
-
         if args.allow_missing_keys:
             print(
                 "error: --save-state is not supported with "
@@ -556,6 +580,14 @@ def cmd_dedup(args: argparse.Namespace) -> int:
         record_input = load_entities_csv(args.input)
         num_entities = len(record_input)
         input_note = f"{num_entities} entities"
+    if args.allow_missing_keys or args.save_state is not None:
+        # Both need the records in memory: the fallback splits them by
+        # key, seeding a state partitions them for the analytic advance.
+        entities = (
+            list(record_input.iter_records())
+            if isinstance(record_input, RecordSource)
+            else record_input
+        )
     if args.allow_missing_keys:
         if args.save_result:
             print(
@@ -572,14 +604,9 @@ def cmd_dedup(args: argparse.Namespace) -> int:
                 "pipelines without an event channel)",
                 file=sys.stderr,
             )
-        entities = (
-            list(record_input.iter_records())
-            if isinstance(record_input, RecordSource)
-            else record_input
-        )
         matches = resolve_with_missing_keys(
             entities,
-            blocking,
+            PrefixBlocking(args.attribute, args.prefix_length),
             strategy=args.strategy,
             matcher_factory=lambda: ThresholdMatcher(args.attribute, args.threshold),
             num_map_tasks=args.map_tasks,
@@ -589,49 +616,26 @@ def cmd_dedup(args: argparse.Namespace) -> int:
             batch_kernel=not args.no_batch_kernel,
         )
         print(f"{input_note}, {len(matches)} duplicate pairs")
-        _write_matches(matches, args.output)
+        # No execution handle to stream from: the fallback merges
+        # several runs into bare matches.
+        _stream_matches(matches, args.output)
     else:
-        pipeline = ERPipeline(
-            args.strategy,
-            blocking,
-            ThresholdMatcher(args.attribute, args.threshold),
-            num_map_tasks=args.map_tasks,
-            num_reduce_tasks=args.reduce_tasks,
-            backend=_backend(args),
-            memory_budget=args.memory_budget,
-            batch_kernel=not args.no_batch_kernel,
-        )
-        run_input = record_input
-        partitions = None
+        pipeline = _pipeline(args)
+        state = None
         if args.save_state is not None:
-            # Seeding a state needs the raw partitions for the
-            # analytic advance, so a streamed input is materialized.
-            from .mapreduce.types import make_partitions
-
-            entities = (
-                list(record_input.iter_records())
-                if isinstance(record_input, RecordSource)
-                else record_input
+            # Seeding is an ingest into the empty corpus — the same
+            # computation as a plain full run of the records.
+            result, count, state = _ingest(
+                args, pipeline, entities, CorpusState.empty(), args.save_state
             )
-            partitions = make_partitions(entities, args.map_tasks)
-            run_input = partitions
-        result, count = _run_pipeline(pipeline, args, run_input)
+        else:
+            result, count = _run_pipeline(pipeline.submit, args, record_input)
         stats = WorkloadStats.from_workloads(result.reduce_comparisons())
         print(
             f"{input_note}, {result.total_comparisons():,} comparisons "
             f"(imbalance {stats.imbalance:.2f}), {count} duplicate pairs"
         )
-        if args.save_state is not None:
-            from .engine.incremental import CorpusState
-            from .engine.persistence import save_state
-
-            if partitions is None:
-                raise RuntimeError(
-                    "--save-state needs materialized partitions; "
-                    "streamed sources cannot seed a corpus state here"
-                )
-            state = CorpusState.empty().advanced(result, partitions, blocking)
-            save_state(state, args.save_state)
+        if state is not None:
             print(
                 f"seeded corpus state in {args.save_state} "
                 f"({state.num_entities} keyed entities, "
@@ -642,28 +646,16 @@ def cmd_dedup(args: argparse.Namespace) -> int:
 
 
 def cmd_link(args: argparse.Namespace) -> int:
-    r_entities = _load_entities(args, args.input_r, source="R")
-    s_entities = _load_entities(args, args.input_s, source="S")
     if args.strategy == "basic":
         print("error: two-source matching requires blocksplit or pairrange",
               file=sys.stderr)
         return 2
-    pipeline = ERPipeline(
-        args.strategy,
-        PrefixBlocking(args.attribute, args.prefix_length),
-        ThresholdMatcher(args.attribute, args.threshold),
-        num_reduce_tasks=args.reduce_tasks,
-        backend=_backend(args),
-        memory_budget=args.memory_budget,
-        batch_kernel=not args.no_batch_kernel,
-    )
+    r_entities = _load_entities(args, args.input_r, source="R")
+    s_entities = _load_entities(args, args.input_s, source="S")
+    # Each source gets half of --map-tasks partitions (the pipeline's
+    # two-source default).
     result, count = _run_pipeline(
-        pipeline,
-        args,
-        r_entities,
-        s_entities,
-        num_r_partitions=max(1, args.map_tasks // 2),
-        num_s_partitions=max(1, args.map_tasks // 2),
+        _pipeline(args).submit, args, r_entities, s_entities
     )
     print(
         f"|R|={len(r_entities)}, |S|={len(s_entities)}, "
@@ -675,47 +667,21 @@ def cmd_link(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    blocking = PrefixBlocking(args.attribute, args.prefix_length)
-    entities = _load_entities(args, args.input)
     if args.server is not None:
         # Remote ingest: the state lives under the daemon's
         # --state-root and --state names it; the local backend flags
         # are irrelevant (the server's shared pool executes).
-        from .serve.client import (
-            ServeClient,
-            ServeConnectionError,
-            SubmissionRejected,
+        served = _run_on_server(
+            args,
+            lambda client, pipeline, entities: client.submit_delta(
+                pipeline, entities, args.state
+            ),
         )
-
-        host, _, port_text = args.server.rpartition(":")
-        if not host or not port_text.isdigit():
-            print(f"error: --server must be HOST:PORT, got {args.server!r}",
-                  file=sys.stderr)
+        if served is None:
             return 2
-        pipeline = ERPipeline(
-            args.strategy,
-            blocking,
-            ThresholdMatcher(args.attribute, args.threshold),
-            num_map_tasks=args.map_tasks,
-            num_reduce_tasks=args.reduce_tasks,
-            batch_kernel=not args.no_batch_kernel,
-        )
-        on_event = _progress_printer(sys.stderr) if args.progress else None
-        try:
-            with ServeClient(
-                host, int(port_text), token=args.token, on_event=on_event
-            ) as client:
-                execution = client.submit_delta(pipeline, entities, args.state)
-                count = _stream_matches(execution, args.output)
-                result = execution.result()
-        except ValueError as exc:  # no token available
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except (ServeConnectionError, SubmissionRejected) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        num_entities, result, count = served
         print(
-            f"ingested {len(entities)} new entities into state "
+            f"ingested {num_entities} new entities into state "
             f"{args.state!r} on {args.server}: "
             f"{result.total_comparisons():,} delta comparisons, "
             f"{count} new duplicate pairs"
@@ -723,45 +689,19 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         print(f"wrote new matches to {args.output}")
         return 0
 
-    from .engine.incremental import CorpusState
-    from .engine.persistence import (
-        STATE_FILE,
-        PersistenceError,
-        load_state,
-        save_state,
-    )
-    from .mapreduce.types import make_partitions
-
-    directory = Path(args.state)
+    entities = _load_entities(args, args.input)
     try:
-        if (directory / STATE_FILE).exists():
-            state = load_state(directory)
+        if (Path(args.state) / STATE_FILE).exists():
+            state = load_state(args.state)
         else:
             state = CorpusState.empty()
     except PersistenceError as exc:
         print(f"error: cannot load state from {args.state}: {exc}",
               file=sys.stderr)
         return 2
-    pipeline = ERPipeline(
-        args.strategy,
-        blocking,
-        ThresholdMatcher(args.attribute, args.threshold),
-        num_map_tasks=args.map_tasks,
-        num_reduce_tasks=args.reduce_tasks,
-        backend=_backend(args),
-        memory_budget=args.memory_budget,
-        batch_kernel=not args.no_batch_kernel,
+    result, count, advanced = _ingest(
+        args, _pipeline(args), entities, state, args.state
     )
-    partitions = make_partitions(entities, args.map_tasks)
-    on_event = _progress_printer(sys.stderr) if args.progress else None
-    execution = pipeline.submit_delta(partitions, state, on_event=on_event)
-    count = _stream_matches(execution, args.output)
-    result = execution.result()
-    # The state only advances after the run fully succeeded (a raised
-    # result above leaves the directory untouched), and the save itself
-    # is write-then-rename with state.json as the commit point.
-    advanced = state.advanced(result, partitions, blocking)
-    save_state(advanced, directory)
     print(
         f"ingested {len(entities)} new entities: "
         f"{result.total_comparisons():,} delta comparisons, "
@@ -783,46 +723,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
-    from .serve.client import (
-        ServeClient,
-        ServeConnectionError,
-        SubmissionRejected,
+    served = _run_on_server(
+        args, lambda client, pipeline, entities: client.submit(pipeline, entities)
     )
-
-    host, _, port_text = args.server.rpartition(":")
-    if not host or not port_text.isdigit():
-        print(f"error: --server must be HOST:PORT, got {args.server!r}",
-              file=sys.stderr)
+    if served is None:
         return 2
-    entities = _load_entities(args, args.input)
-    # The pipeline's own backend is irrelevant for remote submission:
-    # only the resolved request ships, the server's shared pool runs it
-    # (the batch-kernel flag rides along inside the request).
-    pipeline = ERPipeline(
-        args.strategy,
-        PrefixBlocking(args.attribute, args.prefix_length),
-        ThresholdMatcher(args.attribute, args.threshold),
-        num_map_tasks=args.map_tasks,
-        num_reduce_tasks=args.reduce_tasks,
-        batch_kernel=not args.no_batch_kernel,
-    )
-    on_event = _progress_printer(sys.stderr) if args.progress else None
-    try:
-        with ServeClient(
-            host, int(port_text), token=args.token, on_event=on_event
-        ) as client:
-            execution = client.submit(pipeline, entities)
-            count = _stream_matches(execution, args.output)
-            result = execution.result()
-    except ValueError as exc:  # no token available
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ServeConnectionError, SubmissionRejected) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    num_entities, result, count = served
     stats = WorkloadStats.from_workloads(result.reduce_comparisons())
     print(
-        f"{len(entities)} entities, {result.total_comparisons():,} "
+        f"{num_entities} entities, {result.total_comparisons():,} "
         f"comparisons (imbalance {stats.imbalance:.2f}), "
         f"{count} duplicate pairs (served by {args.server})"
     )
@@ -836,7 +745,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         # Replan from a persisted run: the saved BDM is all the
         # planners need, so no data is loaded and nothing re-executes.
         from .analysis.experiments import bdm_from_result
-        from .engine.persistence import PersistenceError
 
         try:
             bdm = bdm_from_result(args.from_result)
@@ -884,7 +792,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_recommend(args: argparse.Namespace) -> int:
     from .core.bdm import analytic_bdm
-    from .mapreduce.types import make_partitions
 
     blocking = PrefixBlocking(args.attribute, args.prefix_length)
     if args.input_format == "csv-shards":

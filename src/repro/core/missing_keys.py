@@ -21,7 +21,7 @@ from typing import Sequence
 
 from ..er.blocking import BlockingFunction, ConstantBlocking
 from ..er.entity import Entity
-from ..er.matching import Matcher, MatchResult, ThresholdMatcher
+from ..er.matching import MatchResult, ThresholdMatcher
 from ..engine.backend import ExecutionBackend
 from ..engine.pipeline import ERPipeline
 
@@ -60,10 +60,12 @@ def resolve_with_missing_keys(
     keyed, keyless = split_by_key(entities, blocking)
     result = MatchResult()
 
-    if len(keyed) >= 2:
-        pipeline = ERPipeline(
+    def leg(leg_blocking: BlockingFunction) -> ERPipeline:
+        # One pipeline per leg: matchers are stateful, so each leg gets
+        # a fresh one from the factory.
+        return ERPipeline(
             strategy,
-            blocking,
+            leg_blocking,
             factory(),
             num_map_tasks=num_map_tasks,
             num_reduce_tasks=num_reduce_tasks,
@@ -71,40 +73,17 @@ def resolve_with_missing_keys(
             memory_budget=memory_budget,
             batch_kernel=batch_kernel,
         )
-        result.merge(pipeline.run(keyed).matches)
 
+    if len(keyed) >= 2:
+        result.merge(leg(blocking).run(keyed).matches)
     constant = ConstantBlocking()
     if keyed and keyless:
-        cross = ERPipeline(
-            strategy,
-            constant,
-            factory(),
-            num_map_tasks=num_map_tasks,
-            num_reduce_tasks=num_reduce_tasks,
-            backend=backend,
-            memory_budget=memory_budget,
-            batch_kernel=batch_kernel,
-        )
-        cross_result = cross.run(
-            keyed,
-            keyless,
-            num_r_partitions=max(1, num_map_tasks // 2),
-            num_s_partitions=max(1, num_map_tasks // 2),
-        )
+        # Two-source with the constant key; each side gets half of
+        # ``num_map_tasks`` partitions (the pipeline's default).
+        cross_result = leg(constant).run(keyed, keyless)
         result.merge(_strip_source_retagging(cross_result.matches, keyed, keyless))
-
     if len(keyless) >= 2:
-        within = ERPipeline(
-            strategy,
-            constant,
-            factory(),
-            num_map_tasks=num_map_tasks,
-            num_reduce_tasks=num_reduce_tasks,
-            backend=backend,
-            memory_budget=memory_budget,
-            batch_kernel=batch_kernel,
-        )
-        result.merge(within.run(keyless).matches)
+        result.merge(leg(constant).run(keyless).matches)
     return result
 
 

@@ -24,6 +24,15 @@ condition itself is the one legitimate pattern (it releases the lock
 while sleeping) and is exempt — but only when the condition is the
 *sole* lock held.
 
+``unchecked-join-timeout`` is the other half of that advice: once a
+wait has a ``timeout=``, its expiry must not pass silently.
+``Thread.join(timeout=…)`` returns ``None`` either way, so the same
+function must ask ``<that thread>.is_alive()`` afterwards; an
+``Event`` / execution-handle ``.wait(timeout=…)`` returns whether it
+was satisfied, so calling it as a bare statement throws the answer
+away.  (``Popen.wait(timeout=…)`` *raises* on expiry: a bare wait in a
+``try`` that handles ``TimeoutExpired`` is checked by construction.)
+
 Matching is textual, not alias-aware: ``s = self.session`` followed by
 ``s.jobs`` defeats the check.  The convention (documented in
 docs/lint.md) is to access guarded state through the same receiver
@@ -218,4 +227,73 @@ def check_blocking_under_lock(module: ModuleContext) -> "Iterator[Finding]":
                 f"{' and '.join(sorted(set(held)))}; release the lock "
                 "first or add a timeout"
             ),
+        )
+
+
+def _raises_on_expiry(module: ModuleContext, statement: ast.AST) -> bool:
+    """Whether ``statement`` is directly in a ``try`` body that handles
+    ``TimeoutExpired`` (``Popen.wait(timeout=…)`` raises on expiry)."""
+    block = module.parent(statement)
+    return (
+        isinstance(block, ast.Try)
+        and statement in block.body
+        and any(
+            handler.type is not None
+            and "TimeoutExpired" in ast.unparse(handler.type)
+            for handler in block.handlers
+        )
+    )
+
+
+@register_rule(
+    "unchecked-join-timeout",
+    family="lock-discipline",
+    description="join(timeout=)/wait(timeout=) whose expiry passes silently",
+)
+def check_unchecked_join_timeout(module: ModuleContext) -> "Iterator[Finding]":
+    for node in ast.walk(module.tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and any(keyword.arg == "timeout" for keyword in node.keywords)
+        ):
+            continue
+        receiver = ast.unparse(node.func.value)
+        if node.func.attr == "join":
+            functions = _enclosing_functions(module, node)
+            scope = functions[0] if functions else module.tree
+            checked = any(
+                isinstance(later, ast.Call)
+                and isinstance(later.func, ast.Attribute)
+                and later.func.attr == "is_alive"
+                and ast.unparse(later.func.value) == receiver
+                and later.lineno > node.lineno
+                for later in ast.walk(scope)
+            )
+            if checked:
+                continue
+            message = (
+                f"{receiver}.join(timeout=...) returns None whether or not "
+                f"the thread stopped; check {receiver}.is_alive() afterwards "
+                "and raise or log when the deadline passed"
+            )
+        elif node.func.attr == "wait":
+            statement = module.parent(node)
+            if not isinstance(statement, ast.Expr):
+                continue  # the returned flag is used
+            if _raises_on_expiry(module, statement):
+                continue
+            message = (
+                f"{receiver}.wait(timeout=...) reports expiry through its "
+                "return value, which this bare statement discards; test it "
+                "and raise or log when the deadline passed"
+            )
+        else:
+            continue
+        yield Finding(
+            path=module.display_path,
+            line=node.lineno,
+            col=node.col_offset,
+            rule="unchecked-join-timeout",
+            message=message,
         )

@@ -10,8 +10,6 @@ backend            what it does
 =================  ======================================================
 ``serial``         deterministic in-process execution (the reference)
 ``parallel``       map/reduce tasks fan out over a process or thread pool
-``async``          the same task units as asyncio coroutines — awaitable,
-                   streamable, cancellable from an event loop
 ``distributed``    the same task units shipped to worker *processes* over
                    loopback sockets, with heartbeats, per-task timeouts
                    and bounded requeue on worker failure
@@ -45,7 +43,6 @@ from ..mapreduce.events import (
     ExecutionEvent,
     PipelineCancelled,
 )
-from .async_backend import AsyncBackend, AsyncRuntime
 from .backend import (
     BACKENDS,
     DeltaSpec,
@@ -88,8 +85,6 @@ from .simulate import (
 
 __all__ = [
     "BACKENDS",
-    "AsyncBackend",
-    "AsyncRuntime",
     "CorpusState",
     "DeltaSpec",
     "DistributedBackend",

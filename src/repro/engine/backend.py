@@ -3,7 +3,7 @@
 A backend receives a fully-resolved :class:`PipelineRequest` — strategy
 instance, blocking function, matcher, input partitions — and returns a
 :class:`~repro.engine.result.PipelineResult`.  How the work happens
-(in-process, on a worker pool, on an asyncio loop, or analytically via
+(in-process, on a worker pool, on worker processes, or analytically via
 the planners and the cluster simulator) is entirely the backend's
 business; ``ERPipeline`` never branches on the backend kind.
 

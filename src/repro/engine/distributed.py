@@ -16,7 +16,7 @@ injected worker crashes and hangs too
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 from ..mapreduce.dfs import DistributedFileSystem
 from ..mapreduce.runtime import TaskCall
@@ -40,22 +40,11 @@ class DistributedRuntime(PooledRuntime):
         self,
         dfs: DistributedFileSystem | None = None,
         *,
-        num_workers: int = 2,
-        task_timeout: float | None = None,
-        max_task_retries: int = 2,
-        heartbeat_interval: float = 0.5,
-        heartbeat_timeout: float | None = 15.0,
-        startup_timeout: float = 60.0,
         max_worker_respawns: int = 0,
+        **pool_options: Any,
     ):
         pool = SharedWorkerPool(
-            num_workers=num_workers,
-            task_timeout=task_timeout,
-            max_task_retries=max_task_retries,
-            heartbeat_interval=heartbeat_interval,
-            heartbeat_timeout=heartbeat_timeout,
-            startup_timeout=startup_timeout,
-            max_worker_respawns=max_worker_respawns,
+            max_worker_respawns=max_worker_respawns, **pool_options
         )
         super().__init__(pool, name="distributed", dfs=dfs)
 
@@ -68,12 +57,6 @@ class DistributedRuntime(PooledRuntime):
     def close(self) -> None:
         """Shut the worker pool down (idempotent)."""
         self._pool.close()
-
-    def __enter__(self) -> "DistributedRuntime":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 @register_backend

@@ -431,7 +431,7 @@ class PipelineExecution:
         """This run's matcher counter deltas (see :class:`MatcherStats`).
 
         Read after completion for final numbers; mid-run reads give the
-        work done so far (serial/thread/async backends only).
+        work done so far (serial and thread-pool backends only).
         """
         with self._cond:
             current = (

@@ -175,12 +175,7 @@ def ingest(
         state = load_state(directory)
     else:
         state = CorpusState.empty()
-    if new_records and isinstance(new_records[0], Partition):
-        partitions = list(new_records)
-    else:
-        from ..mapreduce.types import make_partitions
-
-        partitions = make_partitions(list(new_records), pipeline.num_map_tasks)
+    partitions = pipeline._as_partitions(new_records)
     execution = pipeline.submit_delta(partitions, state, on_event=on_event)
     result = execution.result()
     advanced = state.advanced(result, partitions, pipeline.blocking)

@@ -34,12 +34,12 @@ import os
 import pickle
 from collections import deque
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Sequence
+from itertools import chain, islice
+from typing import Callable, Iterable
 
 from ..mapreduce.dfs import DistributedFileSystem
-from ..mapreduce.job import JobConfig, MapReduceJob
-from ..mapreduce.runtime import LocalRuntime, MapTaskResult, ReduceTaskResult
-from ..mapreduce.types import Partition
+from ..mapreduce.job import MapReduceJob
+from ..mapreduce.runtime import LocalRuntime, TaskCall
 from .backend import register_backend
 from .executing import ExecutingBackendBase
 
@@ -84,60 +84,35 @@ class ParallelRuntime(LocalRuntime):
             pool.shutdown(wait=True)
         self._pools.clear()
 
-    def __enter__(self) -> "ParallelRuntime":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # -- scheduling ---------------------------------------------------------
 
-    def _execute_map_tasks(
-        self,
-        job: MapReduceJob,
-        config: JobConfig,
-        partitions: Sequence[Partition],
-        sink=None,
-    ) -> list[MapTaskResult]:
-        # _map_calls is the same lazily-evaluated unit stream the serial
-        # runtime walks — pulling a call at submission time emits the
-        # task-started event and checks cancellation.
-        calls = self._map_calls(job, config, partitions)
-        return self._fan_out(job, calls, count=len(partitions), sink=sink)
-
-    def _execute_reduce_tasks(
-        self,
-        job: MapReduceJob,
-        config: JobConfig,
-        buckets: Sequence[list],
-        presorted: bool = False,
-        sink=None,
-    ) -> list[ReduceTaskResult]:
-        # Buckets are fetched lazily, one per submission: under a memory
-        # budget they are spill-file views (ExternalShuffle.buckets()),
-        # and windowed submission keeps at most ~max_workers of them
-        # re-materialized in the driver at a time.
-        calls = self._reduce_calls(job, config, buckets, presorted)
-        return self._fan_out(job, calls, count=len(buckets), sink=sink)
-
-    def _fan_out(self, job: MapReduceJob, calls, *, count: int, sink=None) -> list:
+    def _run_calls(
+        self, calls: Iterable[TaskCall], sink: "Callable | None"
+    ) -> list:
         """Run the task units, collecting in submission (task-index)
         order: determinism does not depend on completion order.
 
-        ``calls`` may be a lazy iterable; arguments are only built at
-        submission time, and at most ``max_workers`` submissions are in
-        flight — so neither task inputs (reduce buckets) nor uncollected
-        results accumulate unboundedly in the driver.  ``sink`` is
-        applied to each result as the driver obtains it — the external
-        shuffle drains map outputs that way.
+        ``calls`` is the same lazily-evaluated unit stream the serial
+        runtime walks: pulling a call emits the task-started event,
+        checks cancellation and builds the arguments (under a memory
+        budget, reduce buckets are spill-file views), and at most
+        ``max_workers`` submissions are in flight — so neither task
+        inputs nor uncollected results accumulate unboundedly in the
+        driver.  ``sink`` is applied to each result as the driver
+        obtains it.  A single task, or a single worker, runs in-process.
         """
+        if self.max_workers == 1:
+            return super()._run_calls(calls, sink)
+        calls = iter(calls)
+        head = list(islice(calls, 2))
+        if len(head) < 2:
+            return super()._run_calls(head, sink)
         drain = sink if sink is not None else (lambda result: result)
-        if count == 1 or self.max_workers == 1:
-            return [drain(fn(*args)) for fn, args in calls]
-        pool = self._pool_for(job)
+        # The job is the first argument of every task unit.
+        pool = self._pool_for(head[0][1][0])
         results: list = []
         pending: deque = deque()
-        for fn, args in calls:
+        for fn, args in chain(head, calls):
             while len(pending) >= self.max_workers:
                 results.append(drain(pending.popleft().result()))
             pending.append(pool.submit(fn, *args))

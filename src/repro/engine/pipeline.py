@@ -23,8 +23,7 @@ and cancels cooperatively::
     result = execution.result()             # == pipeline.run(entities)
 
 and ``await pipeline.submit_async(entities)`` does the same without
-blocking an asyncio event loop (pairing naturally with the ``"async"``
-backend).
+blocking an asyncio event loop, on every backend.
 
 ``with_backend`` / ``with_cluster`` return configured copies (the
 pipeline itself is cheap, reusable configuration; matchers are stateful
@@ -249,9 +248,7 @@ class ERPipeline:
         Partitioning large inputs can be slow, so submission itself runs
         off-loop (``asyncio.to_thread``); the returned handle offers
         ``await execution.result_async()`` and ``async for pair in
-        execution.aiter_matches()``.  Works with every backend — pair it
-        with ``with_backend("async")`` to also run the task units on an
-        asyncio loop.
+        execution.aiter_matches()``.  Works with every backend.
         """
         return await asyncio.to_thread(
             self.submit,
@@ -312,18 +309,9 @@ class ERPipeline:
         if not state.partitions:
             # Empty corpus: the delta IS the corpus — a plain full run.
             return self.build_request(new_records)
-        return PipelineRequest(
-            strategy=self.strategy,
-            blocking=self.blocking,
-            matcher=self.matcher,
-            partitions=tuple(self._as_partitions(new_records)),
-            num_reduce_tasks=self.num_reduce_tasks,
-            use_bdm_combiner=self.use_bdm_combiner,
-            cluster=self.cluster,
-            cost_model=self.cost_model,
-            memory_budget=self.memory_budget,
+        return self._request(
+            tuple(self._as_partitions(new_records)),
             delta=DeltaSpec(tuple(state.partitions), state.bdm),
-            batch_kernel=self.batch_kernel,
         )
 
     def build_request(
@@ -368,22 +356,29 @@ class ERPipeline:
                 self._dual_partitions(r, s, num_r_partitions, num_s_partitions)
             )
             dual = True
+        return self._request(partitions, dual=dual, source=source)
+
+    # -- helpers -------------------------------------------------------------
+
+    def _request(
+        self, partitions: tuple[Partition, ...], **kind: Any
+    ) -> PipelineRequest:
+        """This pipeline's configuration as a request over ``partitions``;
+        ``kind`` is what tells full, two-source and delta requests apart
+        (``dual`` / ``source`` / ``delta``)."""
         return PipelineRequest(
             strategy=self.strategy,
             blocking=self.blocking,
             matcher=self.matcher,
             partitions=partitions,
             num_reduce_tasks=self.num_reduce_tasks,
-            dual=dual,
             use_bdm_combiner=self.use_bdm_combiner,
             cluster=self.cluster,
             cost_model=self.cost_model,
-            source=source,
             memory_budget=self.memory_budget,
             batch_kernel=self.batch_kernel,
+            **kind,
         )
-
-    # -- helpers -------------------------------------------------------------
 
     def _as_partitions(
         self, entities: Sequence[Entity] | Sequence[Partition]

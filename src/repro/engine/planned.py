@@ -25,11 +25,9 @@ from __future__ import annotations
 from ..cluster.costmodel import CostModel
 from ..cluster.simulation import ClusterSpec
 from ..core.bdm import analytic_bdm
-from ..core.delta import merge_delta_bdm
-from ..core.planning import plan_bdm_job
 from ..core.two_source import analytic_dual_bdm
 from .backend import ExecutionBackend, PipelineRequest, register_backend
-from .executing import analytic_plans
+from .executing import analytic_plans, matching_bdm
 from .result import PipelineResult
 from .simulate import simulate_planned_workflow
 
@@ -61,12 +59,14 @@ class PlannedBackend(ExecutionBackend):
         self.noise_seed = noise_seed
 
     def execute(self, request: PipelineRequest, events=None) -> PipelineResult:
+        """Plan a full, two-source or delta request: the matrix Job 1
+        would output (for a delta: of the delta alone, merged with the
+        persisted one), the strategy's plan for it, and the simulated
+        timeline of that work."""
         # Planning emits no task events (there are no tasks), but a
         # cancelled submission must still stop before the analytic work.
         if events is not None:
             events.raise_if_cancelled()
-        if request.delta is not None:
-            return self._plan_delta(request)
         raw_sizes = None
         if request.dual:
             bdm = analytic_dual_bdm(request.partitions, request.blocking)
@@ -78,8 +78,9 @@ class PlannedBackend(ExecutionBackend):
             raw_sizes = stats.shard_records
         else:
             bdm = analytic_bdm(request.partitions, request.blocking)
+        matching = matching_bdm(request, bdm)
         plan, bdm_plan = analytic_plans(
-            request, bdm, raw_partition_sizes=raw_sizes
+            request, bdm, matching, raw_partition_sizes=raw_sizes
         )
         timeline = None
         if plan is not None:
@@ -97,54 +98,7 @@ class PlannedBackend(ExecutionBackend):
             strategy=request.strategy.name,
             backend=self.name,
             matches=None,
-            bdm=bdm,
-            job1=None,
-            job2=None,
-            plan=plan,
-            bdm_plan=bdm_plan,
-            timeline=timeline,
-        )
-
-    def _plan_delta(self, request: PipelineRequest) -> PipelineResult:
-        """Plan an incremental ingest without executing it: the delta's
-        analytic BDM merged with the persisted one, the strategy's
-        delta plan, and the simulated timeline of the remaining work."""
-        spec = request.delta
-        if spec is None:
-            raise RuntimeError("_plan_delta called without request.delta")
-        r = request.num_reduce_tasks
-        delta_plain = analytic_bdm(request.partitions, request.blocking)
-        merged = merge_delta_bdm(spec.old_bdm, delta_plain, len(request.partitions))
-        plan = (
-            request.strategy.plan_delta(merged, r) if merged.num_blocks else None
-        )
-        bdm_plan = (
-            plan_bdm_job(
-                delta_plain,
-                r,
-                use_combiner=request.use_bdm_combiner,
-                raw_partition_sizes=request.raw_partition_sizes,
-            )
-            if delta_plain.num_blocks
-            else None
-        )
-        timeline = None
-        if plan is not None:
-            cluster = request.cluster or self.cluster or DEFAULT_CLUSTER
-            timeline = simulate_planned_workflow(
-                plan,
-                cluster,
-                request.cost_model or self.cost_model,
-                bdm_plan=bdm_plan,
-                avg_comparison_length=self.avg_comparison_length,
-                comparison_noise_sigma=self.comparison_noise_sigma,
-                noise_seed=self.noise_seed,
-            )
-        return PipelineResult(
-            strategy=request.strategy.name,
-            backend=self.name,
-            matches=None,
-            bdm=merged.matrix,
+            bdm=bdm if request.delta is None else matching.matrix,
             job1=None,
             job2=None,
             plan=plan,

@@ -531,28 +531,50 @@ class SharedWorkerPool:
     def _run_scheduler(self) -> None:
         while True:
             try:
-                message = self._inbox.get(timeout=self._tick())
-            except queue.Empty:
-                self._reap_expired()
-                self._dispatch_ready()
-                continue
-            kind = message[0]
-            if kind == "stop":
-                self._fail_all_jobs(WorkerPoolError(
-                    "the shared worker pool was shut down"
-                ))
-                return
-            if kind == "open":
-                job = message[1]
-                self._jobs[job.job_id] = job
-            elif kind == "submit":
-                self._on_submit(message[1], message[2])
-            elif kind == "close":
-                self._on_close(message[1])
-            elif kind == "worker":
-                self._on_worker_message(message[1], message[2])
+                if self._scheduler_step():
+                    return
+            # This thread is the boundary that must keep running: an
+            # unexpected error used to kill it silently and leave every
+            # job blocked in next_completion() forever.  Now the jobs
+            # fail with the cause, and the loop stays up only to refuse
+            # later submissions and to honour close().
+            except Exception as exc:  # repro-lint: disable=silent-except -- fails every job with it
+                error = WorkerPoolError(f"the pool scheduler died: {exc!r}")
+                error.__cause__ = exc
+                self._broken = error
+                self._fail_all_jobs(error)
+
+    def _scheduler_step(self) -> bool:
+        """Handle one inbox message or deadline tick; true once stopped.
+
+        A broken pool (no workers left, or the scheduler itself failed)
+        schedules nothing any more: submissions are refused in
+        :meth:`_on_submit` and worker chatter is dropped.
+        """
+        scheduling = self._broken is None
+        try:
+            message = self._inbox.get(timeout=self._tick() if scheduling else None)
+        except queue.Empty:
+            message = ("tick",)
+        kind = message[0]
+        if kind == "stop":
+            self._fail_all_jobs(WorkerPoolError(
+                "the shared worker pool was shut down"
+            ))
+            return True
+        if kind == "open":
+            job = message[1]
+            self._jobs[job.job_id] = job
+        elif kind == "submit":
+            self._on_submit(message[1], message[2])
+        elif kind == "close":
+            self._on_close(message[1])
+        elif kind == "worker" and scheduling:
+            self._on_worker_message(message[1], message[2])
+        if scheduling:
             self._reap_expired()
             self._dispatch_ready()
+        return False
 
     def _on_submit(self, job: _PoolJob, task: _Task) -> None:
         if job.closed or job.job_id not in self._jobs:
@@ -783,21 +805,6 @@ class PooledRuntime(LocalRuntime):
     def _run_calls(
         self, calls: Iterable[TaskCall], sink: "Callable | None"
     ) -> list:
-        channel = self._pool.open_job(self._name)
-        try:
-            return self._run_on_channel(channel, calls, sink)
-        finally:
-            # Normal completion: everything was drained, close is a
-            # cheap unregister.  On error/cancel: queued tasks are
-            # dropped and in-flight results discarded by the pool.
-            channel.close()
-
-    def _run_on_channel(
-        self,
-        channel: PoolJobChannel,
-        calls: Iterable[TaskCall],
-        sink: "Callable | None",
-    ) -> list:
         drain = sink if sink is not None else (lambda result: result)
         unit_names = _unit_names()
         window = self._pool.num_workers
@@ -808,23 +815,30 @@ class PooledRuntime(LocalRuntime):
         next_index = 0
         buffered: dict[int, Any] = {}
         ordered: list = []
-        while True:
-            while not exhausted and pulled - completed < window:
-                try:
-                    fn, args = next(calls_iter)
-                except StopIteration:
-                    exhausted = True
-                    break
-                channel.submit(unit_names[fn], pulled, args)
-                pulled += 1
-            if exhausted and completed == pulled:
-                return ordered
-            index, result = channel.next_completion()
-            buffered[index] = result
-            completed += 1
-            while next_index in buffered:
-                ordered.append(drain(buffered.pop(next_index)))
-                next_index += 1
+        channel = self._pool.open_job(self._name)
+        try:
+            while True:
+                while not exhausted and pulled - completed < window:
+                    try:
+                        fn, args = next(calls_iter)
+                    except StopIteration:
+                        exhausted = True
+                        break
+                    channel.submit(unit_names[fn], pulled, args)
+                    pulled += 1
+                if exhausted and completed == pulled:
+                    return ordered
+                index, result = channel.next_completion()
+                buffered[index] = result
+                completed += 1
+                while next_index in buffered:
+                    ordered.append(drain(buffered.pop(next_index)))
+                    next_index += 1
+        finally:
+            # Normal completion: everything was drained, close is a
+            # cheap unregister.  On error/cancel: queued tasks are
+            # dropped and in-flight results discarded by the pool.
+            channel.close()
 
 
 class PooledBackend(ExecutingBackendBase):

@@ -1,6 +1,6 @@
 """The unified result of one pipeline run, whatever the backend.
 
-Executing backends (serial, parallel, async) fill the match/job fields;
+Executing backends (serial, parallel, distributed) fill the match/job fields;
 the planned backend leaves them ``None``.  The analytic ``plan`` is
 present for every backend, so workload accessors such as
 :meth:`PipelineResult.reduce_comparisons` work uniformly — callers can

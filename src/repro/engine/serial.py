@@ -12,12 +12,11 @@ from .executing import ExecutingBackendBase
 class SerialBackend(ExecutingBackendBase):
     """Runs every task in-process, in task-index order.
 
-    This wraps :class:`~repro.mapreduce.runtime.LocalRuntime` — exactly
-    what the pre-pipeline ``ERWorkflow`` did — and is the ground truth
-    the backend-equivalence tests compare the parallel backend against,
-    and the hot-path equivalence suite compares the bit-parallel
-    kernel / packed-key shuffle against their reference paths on (see
-    ``tests/test_hotpath_equivalence.py``).
+    This wraps :class:`~repro.mapreduce.runtime.LocalRuntime` and is the
+    ground truth the backend-equivalence tests compare the parallel
+    backend against, and the hot-path equivalence suite compares the
+    bit-parallel kernel / packed-key shuffle against their reference
+    paths on (see ``tests/test_hotpath_equivalence.py``).
     """
 
     name = "serial"

@@ -2,9 +2,8 @@
 
 Converts per-task statistics (from executing backends) or analytic
 plans (from the planners) into cluster-simulator task lists, which is
-how the execution-time figures are regenerated.  Moved here from
-``repro.core.workflow`` so that every backend shares one code path;
-the old import locations keep working.
+how the execution-time figures are regenerated — one code path for
+every backend.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ and, for reduce tasks, the task's output records.  The engine's
 :class:`~repro.engine.execution.PipelineExecution` handle is built
 entirely on this channel: streamed matches, progress snapshots and
 cancellation are all derived from the same event stream, so serial,
-parallel and async execution share one observability surface.
+parallel and distributed execution share one observability surface.
 
 Events are emitted from the *driver* thread (the thread that called
 ``run()``), in deterministic order: task-started events fire in

@@ -11,8 +11,8 @@ Task execution is factored into self-contained, schedulable units —
 :func:`execute_map_task` and :func:`execute_reduce_task` — that take
 only picklable arguments and return their results (including side
 outputs) instead of mutating shared state.  :class:`LocalRuntime` runs
-them in task-index order in-process; the engine package's parallel and
-async runtimes ship the same units to worker pools / an asyncio loop.
+them in task-index order in-process; the engine package's parallel,
+pooled and distributed runtimes ship the same units to worker pools.
 Either way the merged :class:`JobResult` is byte-for-byte identical
 because results are always combined in task-index order.
 
@@ -27,8 +27,9 @@ are built entirely on this channel.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Self, Sequence
 
 from .counters import Counters, StandardCounter
 from .dfs import DistributedFileSystem
@@ -72,6 +73,14 @@ class MapTaskResult:
     output: tuple[KeyValue, ...]
     side_records: tuple[SideRecord, ...] = ()
 
+    def event_data(self) -> dict[str, Any]:
+        """What this task's ``task-finished`` event carries."""
+        return {
+            "task_index": self.partition_index,
+            "input_records": self.input_records,
+            "output_records": self.output_records,
+        }
+
 
 @dataclass(frozen=True, slots=True)
 class ReduceTaskResult:
@@ -83,6 +92,23 @@ class ReduceTaskResult:
     output_records: int
     counters: Counters
     output: tuple[KeyValue, ...]
+
+    def event_data(self) -> dict[str, Any]:
+        """What this task's ``task-finished`` event carries.
+
+        The task's output rides on the event: for the matching job
+        these records *are* the matches, which is what lets the
+        execution handle stream them out task by task.
+        """
+        return {
+            "task_index": self.reduce_index,
+            "input_records": self.input_records,
+            "input_groups": self.input_groups,
+            "output_records": self.output_records,
+            "comparisons": self.counters.get(StandardCounter.PAIR_COMPARISONS),
+            "matches": self.counters.get(StandardCounter.PAIRS_MATCHED),
+            "output": self.output,
+        }
 
 
 @dataclass(frozen=True, slots=True)
@@ -276,6 +302,12 @@ class LocalRuntime:
     def close(self) -> None:
         """Release scheduling resources (no-op for in-process execution)."""
 
+    def __enter__(self) -> Self:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
     # -- public API --------------------------------------------------------
 
     def run(
@@ -326,52 +358,47 @@ class LocalRuntime:
                 num_map_tasks=len(partitions),
                 num_reduce_tasks=num_reduce_tasks,
             )
-        map_sink = self._map_event_sink(job)
-        reduce_sink = self._reduce_event_sink(job)
-
-        if memory_budget is not None:
-            with ExternalShuffle(job, num_reduce_tasks, memory_budget) as spill:
+        map_sink = self._task_finished_sink(job, "map")
+        reduce_sink = self._task_finished_sink(job, "reduce")
+        with (
+            ExternalShuffle(job, num_reduce_tasks, memory_budget)
+            if memory_budget is not None
+            else nullcontext()
+        ) as spill:
+            if spill is not None:
                 # Each map task's output is routed into the shuffle (and
                 # dropped from the result) as soon as the task completes,
                 # so peak memory is one task's output + the spill buffer
                 # — never the whole map stage.
-                def drain(result: MapTaskResult) -> MapTaskResult:
-                    if map_sink is not None:
-                        map_sink(result)
+                task_finished = map_sink
+
+                def map_sink(result: MapTaskResult) -> MapTaskResult:
+                    if task_finished is not None:
+                        task_finished(result)
                     spill.add_records(result.output)
                     return replace(result, output=())
 
-                self._notify_phase(job, EventKind.PHASE_STARTED, "map")
-                map_results = self._execute_map_tasks(
-                    job, config, partitions, sink=drain
-                )
-                self._notify_phase(job, EventKind.PHASE_FINISHED, "map")
-                self._apply_side_records(map_results)
-                # Spill buckets come back merged in sort order already,
-                # as (sort key, record) entries — the key encoded once
-                # in ExternalShuffle.add is reused for grouping.
-                self._notify_phase(job, EventKind.PHASE_STARTED, "shuffle")
-                buckets = spill.buckets()
-                self._notify_phase(job, EventKind.PHASE_FINISHED, "shuffle")
-                self._notify_phase(job, EventKind.PHASE_STARTED, "reduce")
-                reduce_results = self._execute_reduce_tasks(
-                    job, config, buckets, presorted=True, sink=reduce_sink
-                )
-                self._notify_phase(job, EventKind.PHASE_FINISHED, "reduce")
-        else:
             self._notify_phase(job, EventKind.PHASE_STARTED, "map")
-            map_results = self._execute_map_tasks(
-                job, config, partitions, sink=map_sink
+            map_results = self._run_calls(
+                self._map_calls(job, config, partitions), map_sink
             )
             self._notify_phase(job, EventKind.PHASE_FINISHED, "map")
             self._apply_side_records(map_results)
             self._notify_phase(job, EventKind.PHASE_STARTED, "shuffle")
-            map_outputs = [result.output for result in map_results]
-            buckets = partition_map_output(job, map_outputs, num_reduce_tasks)
+            if spill is not None:
+                # Spill buckets come back merged in sort order already,
+                # as (sort key, record) entries — the key encoded once
+                # in ExternalShuffle.add is reused for grouping.
+                buckets = spill.buckets()
+            else:
+                buckets = partition_map_output(
+                    job, [result.output for result in map_results], num_reduce_tasks
+                )
             self._notify_phase(job, EventKind.PHASE_FINISHED, "shuffle")
             self._notify_phase(job, EventKind.PHASE_STARTED, "reduce")
-            reduce_results = self._execute_reduce_tasks(
-                job, config, buckets, sink=reduce_sink
+            reduce_results = self._run_calls(
+                self._reduce_calls(job, config, buckets, spill is not None),
+                reduce_sink,
             )
             self._notify_phase(job, EventKind.PHASE_FINISHED, "reduce")
 
@@ -402,7 +429,7 @@ class LocalRuntime:
         """Per-task-unit cancellation point + ``task-started`` event.
 
         Fires at *submission* time: just before in-process execution for
-        the serial runtime, at pool submission for the parallel/async
+        the serial runtime, at pool submission for the pooled
         runtimes — either way in submission order, from the driver.
         """
         if self.events is not None:
@@ -411,54 +438,24 @@ class LocalRuntime:
                 EventKind.TASK_STARTED, job.name, phase=phase, task_index=task_index
             )
 
-    def _map_event_sink(
-        self, job: MapReduceJob
-    ) -> "Callable[[MapTaskResult], MapTaskResult] | None":
+    def _task_finished_sink(
+        self, job: MapReduceJob, phase: str
+    ) -> "Callable[[Any], Any] | None":
+        """The sink that emits one ``task-finished`` event per result of
+        ``phase`` (``None`` without a channel)."""
         events = self.events
         if events is None:
             return None
 
-        def sink(result: MapTaskResult) -> MapTaskResult:
+        def sink(result: "MapTaskResult | ReduceTaskResult"):
             events.emit(
-                EventKind.TASK_FINISHED,
-                job.name,
-                phase="map",
-                task_index=result.partition_index,
-                input_records=result.input_records,
-                output_records=result.output_records,
+                EventKind.TASK_FINISHED, job.name, phase=phase, **result.event_data()
             )
             return result
 
         return sink
 
-    def _reduce_event_sink(
-        self, job: MapReduceJob
-    ) -> "Callable[[ReduceTaskResult], ReduceTaskResult] | None":
-        events = self.events
-        if events is None:
-            return None
-
-        def sink(task: ReduceTaskResult) -> ReduceTaskResult:
-            # The task's output rides on the event: for the matching job
-            # these records *are* the matches, which is what lets the
-            # execution handle stream them out task by task.
-            events.emit(
-                EventKind.TASK_FINISHED,
-                job.name,
-                phase="reduce",
-                task_index=task.reduce_index,
-                input_records=task.input_records,
-                input_groups=task.input_groups,
-                output_records=task.output_records,
-                comparisons=task.counters.get(StandardCounter.PAIR_COMPARISONS),
-                matches=task.counters.get(StandardCounter.PAIRS_MATCHED),
-                output=task.output,
-            )
-            return task
-
-        return sink
-
-    # -- scheduling (overridden by the parallel/async runtimes) -------------
+    # -- scheduling (_run_calls is what the other runtimes override) --------
 
     def _map_calls(
         self,
@@ -470,7 +467,7 @@ class LocalRuntime:
 
         Pulling the next call is the submission point: it emits the
         ``task-started`` event and checks cancellation, so every runtime
-        that consumes this iterator — in-process, pooled, or async —
+        that consumes this iterator — in-process or pooled —
         shares the same lifecycle semantics for free.
         """
         for part in partitions:
@@ -490,38 +487,18 @@ class LocalRuntime:
             self._task_starting(job, "reduce", index)
             yield execute_reduce_task, (job, config, index, buckets[index], presorted)
 
-    def _execute_map_tasks(
-        self,
-        job: MapReduceJob,
-        config: JobConfig,
-        partitions: Sequence[Partition],
-        sink: "Callable[[MapTaskResult], MapTaskResult] | None" = None,
-    ) -> list[MapTaskResult]:
-        """Run the map tasks in task-index order.
-
-        ``sink`` (when given) is applied to each result as soon as it is
-        available, in task-index order — the external shuffle uses it to
-        consume outputs incrementally instead of holding the whole map
-        stage in memory, and the event channel to emit task-finished
-        events.
-        """
-        return self._run_calls(self._map_calls(job, config, partitions), sink)
-
-    def _execute_reduce_tasks(
-        self,
-        job: MapReduceJob,
-        config: JobConfig,
-        buckets: Sequence[list],
-        presorted: bool = False,
-        sink: "Callable[[ReduceTaskResult], ReduceTaskResult] | None" = None,
-    ) -> list[ReduceTaskResult]:
-        return self._run_calls(
-            self._reduce_calls(job, config, buckets, presorted), sink
-        )
-
     def _run_calls(
         self, calls: Iterable[TaskCall], sink: "Callable | None"
     ) -> list:
+        """Run one phase's task units; the only scheduling seam.
+
+        Returns the results in task-index order.  ``sink`` (when given)
+        is applied to each result as soon as it is available, in that
+        same order — the external shuffle uses it to consume map outputs
+        incrementally instead of holding the whole map stage in memory,
+        and the event channel to emit task-finished events.  Every other
+        runtime overrides this method and nothing else.
+        """
         results: list = []
         for fn, args in calls:
             result = fn(*args)

@@ -472,6 +472,13 @@ class ServeClient:
             pass
         self._conn.close()
         self._receiver.join(timeout=10)
+        # Closing the connection ends the receive loop; a receiver still
+        # running now is a bug to surface, not a timeout to let pass.
+        if self._receiver.is_alive():
+            raise RuntimeError(
+                f"the {self._receiver.name} receiver thread did not stop "
+                "within 10s of close()"
+            )
 
     def __enter__(self) -> "ServeClient":
         return self

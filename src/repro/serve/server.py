@@ -251,19 +251,31 @@ class ERServer:
             remaining = deadline - time.monotonic()
             if remaining <= 0 or not execution.wait(timeout=remaining):
                 execution.cancel()
+        # Every wait below is on a clean path that should finish at
+        # once; one that runs out is a bug to surface (after the
+        # teardown has gone as far as it can), not a timeout to let pass.
+        overdue: list[str] = []
         for job in jobs:
-            if job.execution is not None:
-                job.execution.wait(timeout=30)
+            if job.execution is not None and not job.execution.wait(timeout=30):
+                overdue.append(
+                    f"job {job.job_id} did not finish within 30s of cancel()"
+                )
         # The waiter threads ship each job's terminal message *before*
         # retiring it from the registry; only close the session
         # connections once the registry has drained, so clients see
         # done/cancelled rather than a dropped connection.
         retire_deadline = time.monotonic() + 10
-        while time.monotonic() < retire_deadline:
+        while True:
             with self._lock:
-                if not self._jobs:
-                    break
+                unretired = sorted(self._jobs)
+            if not unretired or time.monotonic() >= retire_deadline:
+                break
             time.sleep(0.01)
+        if unretired:
+            overdue.append(
+                f"jobs {unretired} were not retired from the registry "
+                "within 10s of finishing"
+            )
         for session in sessions:
             session.conn.close()
         accept_thread, self._accept_thread = self._accept_thread, None
@@ -271,11 +283,13 @@ class ERServer:
             accept_thread.join(timeout=10)
         self._pool.close()
         # Closing the listener wakes accept(); a thread still in it now
-        # is a bug to surface, not a timeout to let pass.
+        # is the same kind of bug.
         if accept_thread is not None and accept_thread.is_alive():
-            raise RuntimeError(
+            overdue.append(
                 "the accept thread did not stop within 10s of shutdown()"
             )
+        if overdue:
+            raise RuntimeError("; ".join(overdue))
 
     def __enter__(self) -> "ERServer":
         return self.start()

@@ -77,7 +77,7 @@ class TestBlockingMetrics:
 
 class TestEndToEndQuality:
     def test_workflow_quality_on_corrupted_data(self):
-        from repro.core.workflow import ERWorkflow
+        from repro.engine import ERPipeline
         from repro.datasets.corruption import CorruptionConfig, corrupt_dataset
         from repro.datasets.generators import generate_products
         from repro.er.blocking import PrefixBlocking
@@ -97,7 +97,7 @@ class TestEndToEndQuality:
                 corruptors=((typo, 1.0), (insert_character, 1.0), (drop_character, 1.0)),
             ),
         )
-        workflow = ERWorkflow(
+        workflow = ERPipeline(
             "pairrange",
             PrefixBlocking("title", 3),
             ThresholdMatcher("title", 0.8),

@@ -51,7 +51,7 @@ class TestCostModel:
         from repro.analysis import bdm_for_block_sizes
         from repro.cluster.simulation import ClusterSimulator, ClusterSpec
         from repro.core.planning import plan_bdm_job
-        from repro.core.workflow import simulate_planned_workflow
+        from repro.engine import simulate_planned_workflow
         from repro.core.planning import plan_blocksplit
         from repro.datasets import zipf_block_sizes
 

@@ -13,7 +13,7 @@ from repro.core.bdm import (
     MISSING_KEY_COUNTER,
     compute_bdm,
 )
-from repro.core.workflow import analytic_bdm
+from repro.core.bdm import analytic_bdm
 from repro.mapreduce.counters import StandardCounter
 from repro.mapreduce.runtime import LocalRuntime
 from repro.mapreduce.types import Partition, make_partitions

@@ -87,13 +87,13 @@ class TestMultiPass:
 
 class TestSinglePassEquivalence:
     def test_one_pass_equals_plain_workflow(self):
-        from repro.core.workflow import ERWorkflow
+        from repro.engine import ERPipeline
 
         single = MultiPassBlocking([PrefixBlocking("title", 3)])
         multi = MultiPassERWorkflow(
             "pairrange", single, AlwaysMatcher, num_map_tasks=2, num_reduce_tasks=3
         ).run(ENTITIES)
-        plain = ERWorkflow(
+        plain = ERPipeline(
             "pairrange",
             PrefixBlocking("title", 3),
             AlwaysMatcher(),

@@ -222,10 +222,10 @@ class TestFullExampleCoverage:
 
     @pytest.mark.parametrize("strategy", ["basic", "blocksplit", "pairrange"])
     def test_exactly_20_distinct_pairs(self, strategy):
-        from repro.core.workflow import ERWorkflow
+        from repro.engine import ERPipeline
 
         matcher = RecordingMatcher()
-        workflow = ERWorkflow(
+        workflow = ERPipeline(
             strategy, key_blocking(), matcher, num_map_tasks=2, num_reduce_tasks=3
         )
         workflow.run(paper_partitions())

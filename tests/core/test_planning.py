@@ -17,7 +17,8 @@ from repro.core.planning import (
     plan_blocksplit,
     plan_pairrange,
 )
-from repro.core.workflow import ERWorkflow, analytic_bdm
+from repro.core.bdm import analytic_bdm
+from repro.engine import ERPipeline
 from repro.er.matching import RecordingMatcher
 from repro.mapreduce.counters import StandardCounter
 from repro.mapreduce.types import make_partitions
@@ -33,7 +34,7 @@ PLANNERS = {
 
 def executed_counts(strategy, entities, m, r):
     matcher = RecordingMatcher()
-    workflow = ERWorkflow(
+    workflow = ERPipeline(
         strategy, key_blocking(), matcher, num_map_tasks=m, num_reduce_tasks=r
     )
     result = workflow.run(entities)

@@ -19,9 +19,9 @@ from repro.core.planning import (
     plan_blocksplit,
     plan_pairrange,
 )
-from repro.core.workflow import (
-    ERWorkflow,
-    analytic_bdm,
+from repro.core.bdm import analytic_bdm
+from repro.engine import (
+    ERPipeline,
     simulate_executed_workflow,
     simulate_planned_workflow,
 )
@@ -50,7 +50,7 @@ PLANNERS = {
 def test_executed_equals_planned_simulation(strategy, n, keys, seed, m, r, nodes):
     entities = random_keyed_entities(n, keys, seed=seed)
     partitions = make_partitions(entities, m)
-    workflow = ERWorkflow(
+    workflow = ERPipeline(
         strategy, key_blocking(), RecordingMatcher(),
         num_map_tasks=m, num_reduce_tasks=r,
     )
@@ -83,10 +83,10 @@ def test_dual_executed_equals_planned_simulation(strategy):
     }
     r_entities = random_keyed_entities(30, 4, seed=8, source="R")
     s_entities = random_keyed_entities(25, 4, seed=9, source="S")
-    workflow = ERWorkflow(
+    workflow = ERPipeline(
         strategy, key_blocking(), RecordingMatcher(), num_reduce_tasks=5
     )
-    result = workflow.run_two_source(
+    result = workflow.run(
         r_entities, s_entities, num_r_partitions=2, num_s_partitions=2
     )
     cluster = ClusterSpec(num_nodes=3)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.workflow import ERWorkflow
+from repro.engine import ERPipeline
 from repro.er.matching import AlwaysMatcher, RecordingMatcher
 from repro.mapreduce.types import make_partitions
 
@@ -27,7 +27,7 @@ STRATEGY_NAMES = ["basic", "blocksplit", "pairrange"]
 
 def run_and_record(strategy, entities, m, r):
     matcher = RecordingMatcher()
-    workflow = ERWorkflow(
+    workflow = ERPipeline(
         strategy, key_blocking(), matcher, num_map_tasks=m, num_reduce_tasks=r
     )
     result = workflow.run(entities)
@@ -98,7 +98,7 @@ class TestMatchOutput:
     @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
     def test_always_matcher_returns_every_pair(self, strategy):
         entities = random_keyed_entities(25, 3, seed=5)
-        workflow = ERWorkflow(
+        workflow = ERPipeline(
             strategy,
             key_blocking(),
             AlwaysMatcher(),
@@ -112,7 +112,7 @@ class TestMatchOutput:
         entities = random_keyed_entities(40, 5, seed=6)
         results = {}
         for strategy in STRATEGY_NAMES:
-            workflow = ERWorkflow(
+            workflow = ERPipeline(
                 strategy,
                 key_blocking(),
                 AlwaysMatcher(),
@@ -128,7 +128,7 @@ class TestInputHandling:
         entities = random_keyed_entities(20, 3, seed=8)
         partitions = make_partitions(entities, 4)
         matcher = RecordingMatcher()
-        workflow = ERWorkflow("blocksplit", key_blocking(), matcher, num_reduce_tasks=3)
+        workflow = ERPipeline("blocksplit", key_blocking(), matcher, num_reduce_tasks=3)
         workflow.run(partitions)
         assert set(matcher.compared) == blocked_pairs(entities, key_blocking())
 
@@ -138,7 +138,7 @@ class TestInputHandling:
         keyed = [make_entity(f"e{i}", "k") for i in range(4)]
         unkeyed = [Entity(f"u{i}", {"title": "t"}) for i in range(3)]
         matcher = RecordingMatcher()
-        workflow = ERWorkflow(
+        workflow = ERPipeline(
             "pairrange", key_blocking(), matcher, num_map_tasks=2, num_reduce_tasks=2
         )
         workflow.run(keyed + unkeyed)

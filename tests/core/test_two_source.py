@@ -12,7 +12,7 @@ from repro.core.two_source import (
     compute_dual_bdm,
     generate_dual_match_tasks,
 )
-from repro.core.workflow import ERWorkflow
+from repro.engine import ERPipeline
 from repro.er.matching import AlwaysMatcher, RecordingMatcher
 from repro.mapreduce.runtime import LocalRuntime
 from repro.mapreduce.types import Partition, make_partitions
@@ -24,8 +24,8 @@ DUAL_STRATEGIES = ["blocksplit", "pairrange"]
 
 def run_dual(strategy, r_entities, s_entities, *, r_parts=2, s_parts=2, r=4):
     matcher = RecordingMatcher()
-    workflow = ERWorkflow(strategy, key_blocking(), matcher, num_reduce_tasks=r)
-    result = workflow.run_two_source(
+    workflow = ERPipeline(strategy, key_blocking(), matcher, num_reduce_tasks=r)
+    result = workflow.run(
         r_entities, s_entities, num_r_partitions=r_parts, num_s_partitions=s_parts
     )
     return matcher, result
@@ -75,18 +75,18 @@ class TestDualCoverage:
     def test_matches_identical_across_strategies(self, strategy):
         r_entities = random_keyed_entities(20, 3, seed=1, source="R")
         s_entities = random_keyed_entities(15, 3, seed=2, source="S")
-        workflow = ERWorkflow(
+        workflow = ERPipeline(
             strategy, key_blocking(), AlwaysMatcher(), num_reduce_tasks=3
         )
-        result = workflow.run_two_source(r_entities, s_entities)
+        result = workflow.run(r_entities, s_entities)
         assert result.matches.pair_ids == blocked_cross_pairs(
             r_entities + s_entities, key_blocking()
         )
 
     def test_basic_strategy_rejected(self):
-        workflow = ERWorkflow("basic", key_blocking(), num_reduce_tasks=2)
+        workflow = ERPipeline("basic", key_blocking(), num_reduce_tasks=2)
         with pytest.raises(ValueError, match="two-source"):
-            workflow.run_two_source([], [make_entity("s0", "k", "S")])
+            workflow.run([], [make_entity("s0", "k", "S")])
 
 
 class TestDualBdm:
@@ -187,8 +187,8 @@ class TestDualPlanners:
         r_entities = random_keyed_entities(n_r, keys, seed=seed, source="R")
         s_entities = random_keyed_entities(n_s, keys, seed=seed + 1, source="S")
         matcher = RecordingMatcher()
-        workflow = ERWorkflow(strategy, key_blocking(), matcher, num_reduce_tasks=r)
-        result = workflow.run_two_source(
+        workflow = ERPipeline(strategy, key_blocking(), matcher, num_reduce_tasks=r)
+        result = workflow.run(
             r_entities, s_entities, num_r_partitions=2, num_s_partitions=2
         )
         plan = planner(result.bdm, r)

@@ -21,7 +21,7 @@ from repro.core.planning import plan_dual_blocksplit, plan_dual_pairrange
 from repro.core.two_source import compute_dual_bdm, generate_dual_match_tasks
 from repro.core.enumeration import DualPairEnumeration, PairRangeSpec
 from repro.core.match_tasks import assign_greedy
-from repro.core.workflow import ERWorkflow
+from repro.engine import ERPipeline
 from repro.er.matching import RecordingMatcher
 from repro.mapreduce.runtime import LocalRuntime
 from repro.mapreduce.types import Partition
@@ -98,10 +98,10 @@ class TestFigure16BlockSplit:
 
     def test_coverage(self):
         matcher = RecordingMatcher()
-        workflow = ERWorkflow(
+        workflow = ERPipeline(
             "blocksplit", key_blocking(), matcher, num_reduce_tasks=3
         )
-        workflow.run_two_source(
+        workflow.run(
             [make_entity(e, k, "R") for e, k in PARTITION_R0],
             [make_entity(e, k, "S") for e, k in PARTITION_S1]
             + [make_entity(e, k, "S") for e, k in PARTITION_S2],
@@ -145,10 +145,10 @@ class TestFigure17PairRange:
 
     def test_coverage(self):
         matcher = RecordingMatcher()
-        workflow = ERWorkflow(
+        workflow = ERPipeline(
             "pairrange", key_blocking(), matcher, num_reduce_tasks=3
         )
-        workflow.run_two_source(
+        workflow.run(
             [make_entity(e, k, "R") for e, k in PARTITION_R0],
             [make_entity(e, k, "S") for e, k in PARTITION_S1]
             + [make_entity(e, k, "S") for e, k in PARTITION_S2],

@@ -5,16 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.simulation import ClusterSpec
+from repro.core.bdm import analytic_bdm, analytic_bdm_from_block_sizes
+from repro.core.planning import plan_pairrange
 from repro.core.strategy import get_strategy
-from repro.core.workflow import (
-    ERWorkflow,
-    analytic_bdm,
-    analytic_bdm_from_block_sizes,
+from repro.engine import (
+    ERPipeline,
     simulate_executed_workflow,
     simulate_planned_workflow,
     simulate_strategy,
 )
-from repro.core.planning import plan_pairrange
 from repro.datasets.generators import generate_products
 from repro.er.blocking import PrefixBlocking
 from repro.er.matching import ThresholdMatcher, brute_force_match
@@ -28,7 +27,7 @@ class TestEndToEndMatching:
     def test_matches_equal_blocked_brute_force(self, strategy):
         entities = generate_products(300, seed=21)
         blocking = PrefixBlocking("title", 3)
-        workflow = ERWorkflow(
+        workflow = ERPipeline(
             strategy,
             blocking,
             ThresholdMatcher("title", 0.8),
@@ -47,7 +46,7 @@ class TestEndToEndMatching:
 
     def test_strategy_instance_accepted(self):
         entities = generate_products(100, seed=22)
-        workflow = ERWorkflow(
+        workflow = ERPipeline(
             get_strategy("pairrange"),
             PrefixBlocking("title"),
             num_map_tasks=2,
@@ -58,11 +57,11 @@ class TestEndToEndMatching:
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(KeyError, match="unknown strategy"):
-            ERWorkflow("bogus", PrefixBlocking("title"))
+            ERPipeline("bogus", PrefixBlocking("title"))
 
     def test_result_accessors(self):
         entities = generate_products(150, seed=23)
-        workflow = ERWorkflow(
+        workflow = ERPipeline(
             "blocksplit",
             PrefixBlocking("title"),
             num_map_tasks=2,
@@ -77,7 +76,7 @@ class TestEndToEndMatching:
 
     def test_basic_has_no_bdm_job(self):
         entities = generate_products(100, seed=24)
-        workflow = ERWorkflow(
+        workflow = ERPipeline(
             "basic", PrefixBlocking("title"), num_map_tasks=2, num_reduce_tasks=3
         )
         result = workflow.run(entities)
@@ -97,7 +96,7 @@ class TestAnalyticBdm:
         blocking = PrefixBlocking("title")
         partitions = make_partitions(entities, 3)
         direct = analytic_bdm(partitions, blocking)
-        workflow = ERWorkflow(
+        workflow = ERPipeline(
             "pairrange", blocking, num_map_tasks=3, num_reduce_tasks=2
         )
         result = workflow.run(partitions)
@@ -124,7 +123,7 @@ class TestSimulationGlue:
         entities = generate_products(300, seed=27)
         blocking = PrefixBlocking("title")
         partitions = make_partitions(entities, 4)
-        workflow = ERWorkflow(
+        workflow = ERPipeline(
             "pairrange", blocking, num_map_tasks=4, num_reduce_tasks=8
         )
         result = workflow.run(partitions)
@@ -177,10 +176,10 @@ class TestBdmCombinerToggle:
     def test_workflow_without_combiner_same_matches(self):
         entities = generate_products(150, seed=30)
         blocking = PrefixBlocking("title")
-        with_combiner = ERWorkflow(
+        with_combiner = ERPipeline(
             "pairrange", blocking, num_map_tasks=2, num_reduce_tasks=3
         ).run(entities)
-        without_combiner = ERWorkflow(
+        without_combiner = ERPipeline(
             "pairrange",
             blocking,
             num_map_tasks=2,

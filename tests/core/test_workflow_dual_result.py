@@ -1,11 +1,11 @@
-"""ERWorkflowResult accessors on the two-source path."""
+"""PipelineResult accessors on the two-source path."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.two_source import DualSourceBDM
-from repro.core.workflow import ERWorkflow
+from repro.engine import ERPipeline
 from repro.er.matching import RecordingMatcher
 
 from ..conftest import blocked_cross_pairs, key_blocking, random_keyed_entities
@@ -15,10 +15,10 @@ from ..conftest import blocked_cross_pairs, key_blocking, random_keyed_entities
 def dual_result():
     r_entities = random_keyed_entities(25, 4, seed=31, source="R")
     s_entities = random_keyed_entities(20, 4, seed=32, source="S")
-    workflow = ERWorkflow(
+    workflow = ERPipeline(
         "blocksplit", key_blocking(), RecordingMatcher(), num_reduce_tasks=4
     )
-    result = workflow.run_two_source(
+    result = workflow.run(
         r_entities, s_entities, num_r_partitions=2, num_s_partitions=3
     )
     return result, r_entities, s_entities
@@ -48,10 +48,10 @@ class TestDualResult:
 
         r_entities = random_keyed_entities(15, 3, seed=33, source="R")
         s_entities = random_keyed_entities(12, 3, seed=34, source="S")
-        workflow = ERWorkflow(
+        workflow = ERPipeline(
             "pairrange", key_blocking(), AlwaysMatcher(), num_reduce_tasks=3
         )
-        result = workflow.run_two_source(r_entities, s_entities)
+        result = workflow.run(r_entities, s_entities)
         assert len(result.matches) > 0
         for pair in result.matches:
             assert pair.id1.startswith("R:")

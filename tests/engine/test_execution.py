@@ -15,7 +15,7 @@ import threading
 import pytest
 
 from repro.datasets.generators import generate_products
-from repro.engine import AsyncBackend, AsyncRuntime, ERPipeline, PipelineCancelled
+from repro.engine import ERPipeline, PipelineCancelled
 from repro.er.blocking import PrefixBlocking
 from repro.er.matching import AlwaysMatcher, Matcher, ThresholdMatcher
 from repro.mapreduce.events import EventKind
@@ -25,7 +25,6 @@ DUAL_STRATEGIES = ["blocksplit", "pairrange"]
 EXECUTING_BACKENDS = {
     "serial": ("serial", {}),
     "parallel": ("parallel", {"max_workers": 3, "executor": "thread"}),
-    "async": ("async", {"max_concurrency": 3}),
 }
 BUDGETS = [None, 24]
 
@@ -358,12 +357,17 @@ class TestMatcherSnapshots:
 
 
 class TestAsyncSurface:
-    def test_submit_async_and_aiter(self):
+    """The asyncio bridges live on the handle, so they work on every
+    backend (the dedicated ``"async"`` backend they used to be paired
+    with is gone)."""
+
+    @pytest.mark.parametrize("backend", ["serial", "parallel"])
+    def test_submit_async_and_aiter(self, backend):
         entities = generate_products(150, seed=37)
         reference = _pipeline("pairrange").run(entities)
 
         async def main():
-            pipeline = _pipeline("pairrange", "async")
+            pipeline = _pipeline("pairrange", backend)
             execution = await pipeline.submit_async(entities)
             streamed = [pair async for pair in execution.aiter_matches()]
             result = await execution.result_async()
@@ -373,13 +377,17 @@ class TestAsyncSurface:
         assert _fingerprint(result) == _fingerprint(reference)
         assert _match_tuples(streamed) == _job2_output_tuples(reference)
 
-    def test_async_backend_registered(self):
-        from repro.engine import BACKENDS, get_backend
+    def test_async_backend_is_unknown(self):
+        from repro.engine import get_backend
 
-        assert BACKENDS["async"] is AsyncBackend
-        backend = get_backend("async", max_concurrency=2)
-        assert backend.max_concurrency == 2
+        with pytest.raises(KeyError) as excinfo:
+            get_backend("async")
+        message = str(excinfo.value)
+        assert "unknown backend 'async'" in message
+        assert "known: distributed, parallel, planned, serial" in message
 
-    def test_async_runtime_rejects_bad_concurrency(self):
-        with pytest.raises(ValueError, match="max_concurrency"):
-            AsyncRuntime(max_concurrency=0)
+    def test_parallel_runtime_rejects_bad_worker_count(self):
+        from repro.engine import ParallelRuntime
+
+        with pytest.raises(ValueError, match="max_workers"):
+            ParallelRuntime(max_workers=0)

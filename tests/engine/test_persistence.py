@@ -41,7 +41,6 @@ ALL_STRATEGIES = ["basic", "blocksplit", "pairrange"]
 BACKENDS = {
     "serial": {},
     "parallel": {"max_workers": 2, "executor": "thread"},
-    "async": {"max_concurrency": 2},
     "planned": {},
 }
 
@@ -105,6 +104,20 @@ class TestRoundTrip:
         original = _pipeline(strategy, backend).run(entities)
         path = original.save(tmp_path / "result.json")
         _assert_equivalent(PipelineResult.load(path), original)
+
+    def test_result_saved_by_the_removed_async_backend_still_loads(self, tmp_path):
+        # ``backend`` is a label on the saved document, not a registry
+        # lookup: files written before the async backend was removed
+        # keep loading.
+        from dataclasses import replace
+
+        original = replace(
+            _pipeline("pairrange", "parallel").run(generate_products(120, seed=57)),
+            backend="async",
+        )
+        loaded = PipelineResult.load(original.save(tmp_path / "async.json"))
+        assert loaded.backend == "async"
+        _assert_equivalent(loaded, original)
 
     def test_two_source_result(self, tmp_path):
         r = generate_products(80, seed=52)

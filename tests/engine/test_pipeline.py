@@ -1,5 +1,5 @@
 """The ERPipeline facade: unified one-/two-source path, planned backend,
-registries, and the deprecated ERWorkflow shim."""
+and the strategy / backend registries."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from repro.core.strategy import (
     register_strategy,
 )
 from repro.datasets.generators import generate_products
-from repro.engine import ERPipeline, PipelineResult
+from repro.engine import ERPipeline
 from repro.engine.backend import BACKENDS, get_backend
 from repro.er.blocking import PrefixBlocking
 from repro.er.matching import ThresholdMatcher
@@ -146,22 +146,3 @@ class TestRegistries:
         with pytest.raises(TypeError, match="existing"):
             get_strategy(instance, bogus=1)
         assert get_strategy(STRATEGIES["basic"]).name == "basic"
-
-
-class TestWorkflowShim:
-    def test_erworkflow_warns_and_delegates(self):
-        from repro.core.workflow import ERWorkflow, ERWorkflowResult
-
-        entities = generate_products(150, seed=63)
-        with pytest.deprecated_call():
-            workflow = ERWorkflow(
-                "blocksplit",
-                PrefixBlocking("title"),
-                num_map_tasks=3,
-                num_reduce_tasks=5,
-            )
-        result = workflow.run(entities)
-        assert isinstance(result, PipelineResult)
-        assert ERWorkflowResult is PipelineResult
-        reference = _pipeline("blocksplit").run(entities)
-        assert result.matches == reference.matches

@@ -70,7 +70,7 @@ class TestWeightedMatcher:
             WeightedMatcher([string_rule("t")], threshold=1.5)
 
     def test_in_workflow(self):
-        from repro.core.workflow import ERWorkflow
+        from repro.engine import ERPipeline
         from repro.er.blocking import PrefixBlocking
 
         entities = [
@@ -82,7 +82,7 @@ class TestWeightedMatcher:
             [string_rule("title", 2.0), numeric_rule("price", scale=200)],
             threshold=0.85,
         )
-        workflow = ERWorkflow(
+        workflow = ERPipeline(
             "blocksplit", PrefixBlocking("title"), matcher,
             num_map_tasks=1, num_reduce_tasks=2,
         )

@@ -8,6 +8,7 @@ and pool lifecycle.
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -115,6 +116,39 @@ class TestFailureIsolation:
         # And the pool stays usable for the next job.
         again = _pipeline(PooledBackend(pool)).run(good_entities)
         assert _fingerprint(again) == reference
+
+
+class TestSchedulerFailure:
+    def test_scheduler_exception_fails_jobs_instead_of_hanging_them(self):
+        # An unexpected error inside the scheduler thread used to kill
+        # it silently: every job then blocked in next_completion()
+        # forever.  Inject one on the first task result.
+        pool = SharedWorkerPool(num_workers=1).start()
+        try:
+            handle = pool._on_worker_message
+
+            def exploding(worker_index, message):
+                if message[0] == "result":
+                    raise RuntimeError("injected scheduler fault")
+                handle(worker_index, message)
+
+            pool._on_worker_message = exploding
+            entities = generate_products(120, seed=68)
+            first = _pipeline(PooledBackend(pool)).submit(entities)
+            assert first.wait(timeout=2), "the job is still blocked"
+            with pytest.raises(WorkerPoolError, match="the pool scheduler died") as excinfo:
+                first.result()
+            assert "injected scheduler fault" in str(excinfo.value)
+            assert isinstance(excinfo.value.__cause__, RuntimeError)
+            # Later submissions are refused with the same named error.
+            second = _pipeline(PooledBackend(pool)).submit(entities)
+            assert second.wait(timeout=2), "a later job blocked"
+            with pytest.raises(WorkerPoolError, match="the pool scheduler died"):
+                second.result()
+        finally:
+            started = time.monotonic()
+            pool.close()
+        assert time.monotonic() - started < 5
 
 
 class TestFairRotation:

@@ -305,6 +305,63 @@ class TestShutdown:
             time.sleep(0.01)
         assert _service_threads(before) == []
 
+    def test_overdue_job_wait_and_retire_poll_raise(self, monkeypatch):
+        # A job that neither finishes after cancel() nor leaves the
+        # registry used to let both deadlines pass silently.  The clock
+        # is faked so the 10 s retire poll costs nothing.
+        import repro.serve.server as server_module
+
+        class StuckExecution:
+            def wait(self, timeout=None):
+                return False
+
+            def cancel(self):
+                return True
+
+        class FakeClock:
+            now = time.monotonic()
+
+            def monotonic(self):
+                return self.now
+
+            def sleep(self, seconds):
+                self.now += seconds
+
+        server = ERServer(num_workers=1, token=TOKEN, drain_timeout=0).start()
+        server._jobs[99] = server_module._ServedJob(
+            job_id=99, session=None, request=None,
+            execution=StuckExecution(), started_at=0.0,
+        )
+        monkeypatch.setattr(server_module, "time", FakeClock())
+        with pytest.raises(RuntimeError) as excinfo:
+            server.shutdown()
+        message = str(excinfo.value)
+        assert "job 99 did not finish within 30s of cancel()" in message
+        assert "jobs [99] were not retired from the registry" in message
+        # The teardown still went all the way: the pool is down.
+        assert server._pool.alive_workers == 0
+
+    def test_client_close_raises_when_the_receiver_outlives_it(self, server):
+        host, port = server.address
+        client = ServeClient(host, port, token=TOKEN)
+        receiver = client._receiver
+
+        class StuckThread:
+            name = receiver.name
+
+            def join(self, timeout=None):
+                return None
+
+            def is_alive(self):
+                return True
+
+        client._receiver = StuckThread()
+        with pytest.raises(RuntimeError, match="repro-serve-client receiver "
+                                               "thread did not stop within 10s"):
+            client.close()
+        receiver.join(timeout=5)
+        assert not receiver.is_alive()
+
     def test_refused_connection_after_shutdown(self):
         server = ERServer(num_workers=1, token=TOKEN).start()
         host, port = server.address

@@ -72,15 +72,16 @@ class TestDedup:
         assert len(sets[0]) == len(contents[0]) - 1  # no duplicate rows
         assert sets[0] == sets[1] == sets[2] and sets[0]
 
-    def test_async_backend_same_matches(self, tmp_path, capsys):
-        data = self._dataset(tmp_path)
-        serial_out = tmp_path / "serial.csv"
-        async_out = tmp_path / "async.csv"
-        assert main(["dedup", "--input", str(data), "--output", str(serial_out)]) == 0
-        assert main(["dedup", "--input", str(data), "--output", str(async_out),
-                     "--backend", "async", "--workers", "3"]) == 0
-        capsys.readouterr()
-        assert serial_out.read_text() == async_out.read_text()
+    def test_async_backend_is_not_a_choice(self, tmp_path, capsys):
+        # The async backend is gone (docs/api.md has the migration row);
+        # argparse rejects the name before anything is loaded.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["dedup", "--input", str(tmp_path / "absent.csv"),
+                  "--output", str(tmp_path / "m.csv"), "--backend", "async"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'async'" in err
+        assert "'serial', 'parallel', 'distributed'" in err
 
     def test_distributed_backend_same_matches(self, tmp_path, capsys):
         data = self._dataset(tmp_path)
@@ -173,6 +174,16 @@ class TestLink:
         code = main(["link", "--input-r", str(r_csv), "--input-s", str(r_csv),
                      "--output", str(out), "--strategy", "basic"])
         assert code == 2
+
+    def test_link_rejects_basic_before_opening_any_input(self, tmp_path, capsys):
+        code = main(["link", "--input-r", str(tmp_path / "absent-r.csv"),
+                     "--input-s", str(tmp_path / "absent-s.csv"),
+                     "--output", str(tmp_path / "links.csv"),
+                     "--strategy", "basic"])
+        assert code == 2
+        assert ("two-source matching requires blocksplit or pairrange"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "links.csv").exists()
 
 
 class TestSimulate:

@@ -13,6 +13,7 @@ PACKAGES = [
     "repro.cluster",
     "repro.er",
     "repro.core",
+    "repro.engine",
     "repro.datasets",
     "repro.analysis",
 ]
@@ -33,17 +34,92 @@ def test_version():
 
 
 def test_readme_quickstart():
-    from repro import ERWorkflow, PrefixBlocking, generate_products
+    from repro import ERPipeline, PrefixBlocking, generate_products
 
     entities = generate_products(400, seed=1)
-    workflow = ERWorkflow(
+    pipeline = ERPipeline(
         "blocksplit",
         PrefixBlocking("title"),
         num_map_tasks=4,
         num_reduce_tasks=8,
     )
-    result = workflow.run(entities)
+    result = pipeline.run(entities)
     assert len(result.matches) > 0
+
+
+def test_engine_all_is_pinned():
+    """2.0.0 removed the asyncio backend and its runtime from here (and
+    the pre-pipeline workflow shim from ``repro`` / ``repro.core``); a
+    name coming or going from the engine's surface is a deliberate,
+    versioned change."""
+    import repro.engine
+
+    assert sorted(repro.engine.__all__) == [
+        "BACKENDS",
+        "CorpusState",
+        "DeltaSpec",
+        "DistributedBackend",
+        "DistributedExecutionError",
+        "DistributedRuntime",
+        "ERPipeline",
+        "EventChannel",
+        "EventKind",
+        "ExecutionBackend",
+        "ExecutionEvent",
+        "ExecutionProgress",
+        "ExecutionStateMirror",
+        "MatcherStats",
+        "ParallelBackend",
+        "ParallelRuntime",
+        "PersistenceError",
+        "PipelineCancelled",
+        "PipelineExecution",
+        "PipelineRequest",
+        "PipelineResult",
+        "PlannedBackend",
+        "SerialBackend",
+        "StageProgress",
+        "get_backend",
+        "ingest",
+        "load_result",
+        "load_state",
+        "register_backend",
+        "result_from_dict",
+        "result_to_dict",
+        "save_result",
+        "save_state",
+        "simulate_executed_workflow",
+        "simulate_planned_workflow",
+        "simulate_strategy",
+        "state_from_dict",
+        "state_to_dict",
+    ]
+    assert sorted(repro.engine.BACKENDS) == [
+        "distributed", "parallel", "planned", "serial",
+    ]
+
+
+@pytest.mark.parametrize("package", ["repro", "repro.core", "repro.engine"])
+def test_removed_names_are_gone(package):
+    """Neither the workflow shim (class and result alias) nor an
+    asyncio backend / runtime is exported any more; the multi-pass
+    workflow is a different, living class."""
+    module = importlib.import_module(package)
+    names = set(dir(module)) | set(module.__all__)
+    shim = {
+        name for name in names
+        if name.endswith(("Workflow", "WorkflowResult"))
+    } - {"MultiPassERWorkflow"}
+    assert shim == set()
+    assert {name for name in names if name.startswith("Async")} == set()
+
+
+@pytest.mark.parametrize(
+    "module", ["repro.core.workflow", "repro.engine.async_backend"]
+)
+def test_removed_modules_are_gone(module):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)
 
 
 def test_strategy_registry_complete():
