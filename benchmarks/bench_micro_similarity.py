@@ -54,7 +54,8 @@ def test_levenshtein_bounded_faster_on_dissimilar(benchmark):
 
 def test_levenshtein_reference_kernel_throughput(benchmark):
     """The pre-PR-3 two-row DP — the baseline the bit-parallel kernel
-    is measured against (see benchmarks/perf_harness.py)."""
+    is measured against (``test_levenshtein_bounded_faster_on_dissimilar``
+    and ``test_levenshtein_similarity_throughput`` in this file)."""
     pairs = _title_pairs()
 
     def run():

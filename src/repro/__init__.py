@@ -138,7 +138,7 @@ from .mapreduce import (
     make_partitions,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "SimulatedRun",

@@ -20,10 +20,8 @@ guarding against hung workers and ``--max-worker-respawns`` letting the
 pool heal after losses),
 ``--input-format csv-shards`` streams the input through the
 :mod:`repro.io` record-source layer (``columnar`` serves it from a
-memory-mapped dataset written by ``pack``), ``--no-batch-kernel``
-disables the batched similarity kernel (results are byte-identical
-either way), ``--memory-budget`` bounds shuffle
-buffering by spilling sorted run files to disk, ``--progress`` streams
+memory-mapped dataset written by ``pack``), ``--memory-budget`` bounds
+shuffle buffering by spilling sorted run files to disk, ``--progress`` streams
 task lifecycle events to stderr as they happen, and ``--save-result``
 persists the full :class:`~repro.engine.PipelineResult` as versioned
 JSON.  The ``--output`` CSV is a **streaming sink**: match rows are
@@ -135,10 +133,6 @@ def _add_pipeline_flags(sub: argparse.ArgumentParser, *, local: bool = True) -> 
                          help="max map-output records buffered in memory "
                               "during the shuffle; the rest spills through "
                               "sorted run files on disk (same results)")
-    sub.add_argument("--no-batch-kernel", action="store_true",
-                     help="score pairs one at a time instead of through "
-                          "the batched similarity kernel (byte-identical "
-                          "results; mainly for benchmarking)")
     sub.add_argument("--progress", action="store_true",
                      help="stream task lifecycle events to stderr while "
                           "the pipeline runs")
@@ -364,7 +358,6 @@ def _pipeline(args: argparse.Namespace, *, remote: bool = False) -> ERPipeline:
         ThresholdMatcher(args.attribute, args.threshold),
         num_map_tasks=args.map_tasks,
         num_reduce_tasks=args.reduce_tasks,
-        batch_kernel=not args.no_batch_kernel,
         **local,
     )
 
@@ -613,7 +606,6 @@ def cmd_dedup(args: argparse.Namespace) -> int:
             num_reduce_tasks=args.reduce_tasks,
             backend=_backend(args),
             memory_budget=args.memory_budget,
-            batch_kernel=not args.no_batch_kernel,
         )
         print(f"{input_note}, {len(matches)} duplicate pairs")
         # No execution handle to stream from: the fallback merges

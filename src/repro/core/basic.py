@@ -14,7 +14,6 @@ from ..er.batch_kernel import TrianglePairs
 from ..er.blocking import BlockingFunction
 from ..er.entity import Entity
 from ..er.matching import Matcher
-from ..mapreduce.counters import flush_pair_counters
 from ..mapreduce.job import TaskContext, stable_hash
 from .match_tasks import BatchedMatchJob, run_batched_group
 
@@ -31,16 +30,9 @@ class BasicMatchJob(BatchedMatchJob):
 
     name = "basic-match"
 
-    def __init__(
-        self,
-        matcher: Matcher,
-        blocking: BlockingFunction | None = None,
-        *,
-        batch_kernel: bool = False,
-    ):
+    def __init__(self, matcher: Matcher, blocking: BlockingFunction | None = None):
         self.matcher = matcher
         self.blocking = blocking
-        self.batch_kernel = batch_kernel
 
     def map(self, key: Any, value: Entity, emit, context: TaskContext) -> None:
         if key is None:
@@ -62,32 +54,10 @@ class BasicMatchJob(BatchedMatchJob):
     def reduce(
         self, key: Any, values: Sequence[Entity], emit, context: TaskContext
     ) -> None:
-        if self.batch_kernel:
-            # The whole block is one triangular batch: prepare every
-            # entity once; the task's blocks are scored together in
-            # `finish_reduce`.
-            prepare = self.matcher.prepare
-            prepared = [prepare(e) for e in values]
-            run_batched_group(
-                self.matcher, prepared, TrianglePairs(len(prepared)), emit, context
-            )
-            return
-        # All-pairs comparison within the block, in the streaming-buffer
-        # style of the paper's pseudo-code.  Entities are prepared once
-        # per group; only `match_prepared` runs per pair.
-        matcher = self.matcher
-        prepare = matcher.prepare
-        match_prepared = matcher.match_prepared
-        comparisons = 0
-        matched = 0
-        buffer: list = []
-        for e2 in values:
-            p2 = prepare(e2)
-            for p1 in buffer:
-                pair = match_prepared(p1, p2)
-                if pair is not None:
-                    matched += 1
-                    emit(None, pair)
-            comparisons += len(buffer)
-            buffer.append(p2)
-        flush_pair_counters(context, comparisons, matched)
+        # The whole block is one triangular batch: prepare every entity
+        # once; the task's blocks are scored together in `finish_reduce`.
+        prepare = self.matcher.prepare
+        prepared = [prepare(e) for e in values]
+        run_batched_group(
+            self.matcher, prepared, TrianglePairs(len(prepared)), emit, context
+        )

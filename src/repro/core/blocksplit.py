@@ -10,13 +10,11 @@ replicated once per occupied input partition of their block.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Sequence
 
-from ..er.batch_kernel import CrossPairs, TrianglePairs
 from ..er.blocking import BlockKey
 from ..er.entity import Entity
 from ..er.matching import Matcher
-from ..mapreduce.counters import flush_pair_counters
 from ..mapreduce.job import TaskContext
 from ..mapreduce.types import KeyCodec, PackedProjection, packed_keys_enabled
 from .bdm import BlockDistributionMatrix
@@ -24,10 +22,9 @@ from .keys import BlockSplitKey
 from .match_tasks import (
     BatchedMatchJob,
     MatchTaskAssignment,
-    flush_batched_groups,
-    leading_run_split,
+    cross_product_group,
     plan_block_split,
-    run_batched_group,
+    self_join_group,
 )
 
 
@@ -54,13 +51,10 @@ class BlockSplitJob(BatchedMatchJob):
         bdm: BlockDistributionMatrix,
         matcher: Matcher,
         num_reduce_tasks: int,
-        *,
-        batch_kernel: bool = False,
     ):
         self.bdm = bdm
         self.matcher = matcher
         self.num_reduce_tasks = num_reduce_tasks
-        self.batch_kernel = batch_kernel
         # The paper computes this in every map task's configure(); the
         # computation is deterministic, so hoisting it is equivalent.
         self.assignment: MatchTaskAssignment = plan_block_split(bdm, num_reduce_tasks)
@@ -111,81 +105,6 @@ class BlockSplitJob(BatchedMatchJob):
         context: TaskContext,
     ) -> None:
         if key.i == key.j:
-            self._match_self(values, emit, context)
+            self_join_group(self, values, emit, context)
         else:
-            self._match_cross(values, emit, context)
-
-    def _match_self(self, values, emit, context: TaskContext) -> None:
-        """Self-join: a whole block (``k.*``) or one sub-block (``k.i``)."""
-        if self.batch_kernel:
-            prepare = self.matcher.prepare
-            prepared = [prepare(e) for e, _partition in values]
-            run_batched_group(
-                self.matcher, prepared, TrianglePairs(len(prepared)), emit, context
-            )
-            return
-        matcher = self.matcher
-        prepare = matcher.prepare
-        match_prepared = matcher.match_prepared
-        comparisons = 0
-        matched = 0
-        buffer: list = []
-        for e2, _partition in values:
-            p2 = prepare(e2)
-            for p1 in buffer:
-                pair = match_prepared(p1, p2)
-                if pair is not None:
-                    matched += 1
-                    emit(None, pair)
-            comparisons += len(buffer)
-            buffer.append(p2)
-        flush_pair_counters(context, comparisons, matched)
-
-    def _match_cross(self, values, emit, context: TaskContext) -> None:
-        """Cartesian product of two sub-blocks (``k.i×j``).
-
-        Values arrive partition-contiguously (stable shuffle), so the
-        first partition index delimits the buffered sub-block —
-        Algorithm 1 lines 56-65.
-        """
-        if self.batch_kernel and values:
-            split = leading_run_split([partition for _e, partition in values])
-            if split is not None:
-                # One buffered run × one streamed run — a cross batch.
-                prepare = self.matcher.prepare
-                prepared = [prepare(e) for e, _partition in values]
-                run_batched_group(
-                    self.matcher,
-                    prepared,
-                    CrossPairs(split, len(prepared)),
-                    emit,
-                    context,
-                )
-                return
-            # Interleaved partitions (not produced by the stable
-            # shuffle): the scalar loop below defines the semantics.
-            # It emits directly, so earlier groups go out first.
-            flush_batched_groups(self.matcher, emit, context)
-        matcher = self.matcher
-        prepare = matcher.prepare
-        match_prepared = matcher.match_prepared
-        iterator = iter(values)
-        try:
-            first_entity, first_partition = next(iterator)
-        except StopIteration:
-            return
-        buffer = [prepare(first_entity)]
-        comparisons = 0
-        matched = 0
-        for e2, partition in iterator:
-            if partition == first_partition:
-                buffer.append(prepare(e2))
-            else:
-                p2 = prepare(e2)
-                for p1 in buffer:
-                    pair = match_prepared(p1, p2)
-                    if pair is not None:
-                        matched += 1
-                        emit(None, pair)
-                comparisons += len(buffer)
-        flush_pair_counters(context, comparisons, matched)
+            cross_product_group(self, key, values, emit, context)

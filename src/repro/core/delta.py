@@ -39,14 +39,12 @@ relies on.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from typing import Any, Sequence
 
-from ..er.batch_kernel import CrossPairs, SpanPairs, TrianglePairs
+from ..er.batch_kernel import SpanPairs
 from ..er.blocking import BlockKey
 from ..er.entity import Entity
 from ..er.matching import Matcher
-from ..mapreduce.counters import flush_pair_counters
 from ..mapreduce.job import TaskContext, stable_hash
 from ..mapreduce.types import KeyCodec, PackedProjection, packed_keys_enabled
 from .bdm import BlockDistributionMatrix
@@ -60,9 +58,9 @@ from .keys import BlockSplitKey, PairRangeKey
 from .match_tasks import (
     BatchedMatchJob,
     MatchTask,
-    flush_batched_groups,
-    leading_run_split,
+    cross_product_group,
     run_batched_group,
+    self_join_group,
 )
 
 
@@ -421,12 +419,9 @@ class DeltaBasicJob(BatchedMatchJob):
 
     name = "job2-basic-delta"
 
-    def __init__(
-        self, bdm: DeltaBDM, matcher: Matcher, *, batch_kernel: bool = False
-    ):
+    def __init__(self, bdm: DeltaBDM, matcher: Matcher):
         self.bdm = bdm
         self.matcher = matcher
-        self.batch_kernel = batch_kernel
 
     def map(self, key: BlockKey, value: Entity, emit, context: TaskContext) -> None:
         k = self.bdm.block_index(key)
@@ -450,27 +445,7 @@ class DeltaBasicJob(BatchedMatchJob):
         # Old partitions precede delta partitions, so every old entity
         # is buffered before the first new one arrives (stable shuffle,
         # partition order).
-        if self.batch_kernel:
-            _batched_whole_delta(self, values, emit, context)
-            return
-        num_old = self.bdm.num_old_partitions
-        matcher = self.matcher
-        prepare = matcher.prepare
-        match_prepared = matcher.match_prepared
-        comparisons = 0
-        matched = 0
-        buffer: list = []
-        for entity, p in values:
-            prepared = prepare(entity)
-            if p >= num_old:
-                for p1 in buffer:
-                    pair = match_prepared(p1, prepared)
-                    if pair is not None:
-                        matched += 1
-                        emit(None, pair)
-                comparisons += len(buffer)
-            buffer.append(prepared)
-        flush_pair_counters(context, comparisons, matched)
+        _batched_whole_delta(self, values, emit, context)
 
 
 # ---------------------------------------------------------------------------
@@ -538,15 +513,12 @@ class DeltaBlockSplitJob(BatchedMatchJob):
         bdm: DeltaBDM,
         matcher: Matcher,
         num_reduce_tasks: int,
-        *,
-        batch_kernel: bool = False,
     ):
         from .match_tasks import assign_greedy  # local import avoids cycle
 
         self.bdm = bdm
         self.matcher = matcher
         self.num_reduce_tasks = num_reduce_tasks
-        self.batch_kernel = batch_kernel
         tasks, split_blocks, threshold = generate_delta_match_tasks(
             bdm, num_reduce_tasks
         )
@@ -598,110 +570,13 @@ class DeltaBlockSplitJob(BatchedMatchJob):
         context: TaskContext,
     ) -> None:
         if key.i != key.j:
-            self._match_cross(values, emit, context)
+            # Identical to the full BlockSplit cross reduce.
+            cross_product_group(self, key, values, emit, context)
         elif key.block in self.split_blocks:
-            self._match_self(values, emit, context)  # a new sub-block
+            self_join_group(self, values, emit, context)  # a new sub-block
         else:
-            self._match_whole_delta(values, emit, context)
-
-    def _match_self(self, values, emit, context: TaskContext) -> None:
-        """All-pairs self-join of one *new* sub-block (``k.i``)."""
-        if self.batch_kernel:
-            prepare = self.matcher.prepare
-            prepared = [prepare(e) for e, _partition in values]
-            run_batched_group(
-                self.matcher, prepared, TrianglePairs(len(prepared)), emit, context
-            )
-            return
-        matcher = self.matcher
-        prepare = matcher.prepare
-        match_prepared = matcher.match_prepared
-        comparisons = 0
-        matched = 0
-        buffer: list = []
-        for e2, _partition in values:
-            p2 = prepare(e2)
-            for p1 in buffer:
-                pair = match_prepared(p1, p2)
-                if pair is not None:
-                    matched += 1
-                    emit(None, pair)
-            comparisons += len(buffer)
-            buffer.append(p2)
-        flush_pair_counters(context, comparisons, matched)
-
-    def _match_whole_delta(self, values, emit, context: TaskContext) -> None:
-        """Whole unsplit block (``k.*``): old entities buffer silently.
-
-        Old partitions precede delta partitions in the stable shuffle,
-        so the buffer holds the full old sub-corpus before any new
-        entity streams through.
-        """
-        if self.batch_kernel:
+            # Whole unsplit block (``k.*``): old entities buffer silently.
             _batched_whole_delta(self, values, emit, context)
-            return
-        num_old = self.bdm.num_old_partitions
-        matcher = self.matcher
-        prepare = matcher.prepare
-        match_prepared = matcher.match_prepared
-        comparisons = 0
-        matched = 0
-        buffer: list = []
-        for entity, p in values:
-            prepared = prepare(entity)
-            if p >= num_old:
-                for p1 in buffer:
-                    pair = match_prepared(p1, prepared)
-                    if pair is not None:
-                        matched += 1
-                        emit(None, pair)
-                comparisons += len(buffer)
-            buffer.append(prepared)
-        flush_pair_counters(context, comparisons, matched)
-
-    def _match_cross(self, values, emit, context: TaskContext) -> None:
-        """Cartesian product of two sub-blocks (``k.i×j``) — identical
-        to the full BlockSplit cross reduce: the first partition index
-        delimits the buffered sub-block."""
-        if self.batch_kernel and values:
-            split = leading_run_split([partition for _e, partition in values])
-            if split is not None:
-                prepare = self.matcher.prepare
-                prepared = [prepare(e) for e, _partition in values]
-                run_batched_group(
-                    self.matcher,
-                    prepared,
-                    CrossPairs(split, len(prepared)),
-                    emit,
-                    context,
-                )
-                return
-            # Interleaved partitions: the scalar loop emits directly,
-            # so earlier groups go out first.
-            flush_batched_groups(self.matcher, emit, context)
-        matcher = self.matcher
-        prepare = matcher.prepare
-        match_prepared = matcher.match_prepared
-        iterator = iter(values)
-        try:
-            first_entity, first_partition = next(iterator)
-        except StopIteration:
-            return
-        buffer = [prepare(first_entity)]
-        comparisons = 0
-        matched = 0
-        for e2, partition in iterator:
-            if partition == first_partition:
-                buffer.append(prepare(e2))
-            else:
-                p2 = prepare(e2)
-                for p1 in buffer:
-                    pair = match_prepared(p1, p2)
-                    if pair is not None:
-                        matched += 1
-                        emit(None, pair)
-                comparisons += len(buffer)
-        flush_pair_counters(context, comparisons, matched)
 
 
 # ---------------------------------------------------------------------------
@@ -726,13 +601,10 @@ class DeltaPairRangeJob(BatchedMatchJob):
         bdm: DeltaBDM,
         matcher: Matcher,
         num_reduce_tasks: int,
-        *,
-        batch_kernel: bool = False,
     ):
         self.bdm = bdm
         self.matcher = matcher
         self.num_reduce_tasks = num_reduce_tasks
-        self.batch_kernel = batch_kernel
         self.enumeration = DeltaPairEnumeration(bdm.delta_block_sizes())
         self.spec = PairRangeSpec(self.enumeration.total_pairs, num_reduce_tasks)
         if packed_keys_enabled():
@@ -789,42 +661,17 @@ class DeltaPairRangeJob(BatchedMatchJob):
         old = self.enumeration.block_sizes[block][0]
         lo, hi = self.spec.bounds(key.range_index)
         partner_span = self.enumeration.partner_span
-        if self.batch_kernel:
-            prepare = self.matcher.prepare
-            buffer_x: list[int] = []
-            prepared: list = []
-            spans: list[tuple[int, int, int]] = []
-            for t, (e2, x2) in enumerate(values):
-                prepared.append(prepare(e2))
-                if x2 >= old:
-                    x_lo, x_hi = partner_span(block, x2, lo, hi)
-                    if x_lo <= x_hi:
-                        start, stop = sorted_run_bounds(buffer_x, x_lo, x_hi)
-                        if stop > start:
-                            spans.append((t, start, stop))
-                buffer_x.append(x2)
-            run_batched_group(self.matcher, prepared, SpanPairs(spans), emit, context)
-            return
-        matcher = self.matcher
-        prepare = matcher.prepare
-        match_prepared = matcher.match_prepared
-        comparisons = 0
-        matched = 0
+        prepare = self.matcher.prepare
         buffer_x: list[int] = []
-        buffer_p: list = []
-        for e2, x2 in values:
-            p2 = prepare(e2)
+        prepared: list = []
+        spans: list[tuple[int, int, int]] = []
+        for t, (e2, x2) in enumerate(values):
+            prepared.append(prepare(e2))
             if x2 >= old:
                 x_lo, x_hi = partner_span(block, x2, lo, hi)
                 if x_lo <= x_hi:
-                    start = bisect_left(buffer_x, x_lo)
-                    stop = bisect_right(buffer_x, x_hi, start)
-                    for i in range(start, stop):
-                        pair = match_prepared(buffer_p[i], p2)
-                        if pair is not None:
-                            matched += 1
-                            emit(None, pair)
-                    comparisons += stop - start
+                    start, stop = sorted_run_bounds(buffer_x, x_lo, x_hi)
+                    if stop > start:
+                        spans.append((t, start, stop))
             buffer_x.append(x2)
-            buffer_p.append(p2)
-        flush_pair_counters(context, comparisons, matched)
+        run_batched_group(self.matcher, prepared, SpanPairs(spans), emit, context)

@@ -22,7 +22,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Any, Protocol, Sequence
 
-from ..er.batch_kernel import ConcatPairs
+from ..er.batch_kernel import ConcatPairs, CrossPairs, TrianglePairs
 from ..mapreduce.counters import flush_pair_counters
 from ..mapreduce.job import MapReduceJob, TaskContext
 from .enumeration import block_pair_count
@@ -161,21 +161,45 @@ def plan_block_split(bdm: BdmLike, num_reduce_tasks: int) -> MatchTaskAssignment
 
 
 # ---------------------------------------------------------------------------
-# Batched match-task execution
+# Match-task execution
 # ---------------------------------------------------------------------------
 #
-# With ``batch_kernel`` enabled the reduce functions stop walking their
-# candidate pairs one ``match_prepared`` call at a time: they describe
-# each group's pairs as one spec (triangle / cross / spans — see
-# :mod:`repro.er.batch_kernel`) and park it on the task's context; the
-# whole reduce task then goes to the matcher in a single ``match_batch``
-# call.  These helpers hold the pieces every batched reduce loop shares.
+# The reduce functions do not walk their candidate pairs one matcher
+# call at a time: they describe each group's pairs as one spec (triangle
+# / cross / spans — see :mod:`repro.er.batch_kernel`) and park it on the
+# task's context; the whole reduce task then goes to the matcher in a
+# single ``match_batch`` call.  These helpers hold the pieces every
+# reduce loop shares.
 
 #: Most pairs a reduce task parks before it scores what it holds instead
 #: of waiting for its last group (a single larger group is scored on its
 #: own): the batch kernel keeps about ten 8-byte arrays per pair, ~10 MB
 #: for this many.
 MAX_PENDING_PAIRS = 1 << 17
+
+
+class ShuffleOrderError(ValueError):
+    """A reduce group's values arrived in an order the shuffle cannot produce.
+
+    The cross-product and two-source groups read their two sides off
+    the arrival order (stable shuffle: one sub-block contiguously before
+    the other; full-key sort: every R before any S).  ``position`` is
+    the index of the first value that breaks that shape.
+    """
+
+    def __init__(self, job_name: str, key: Any, position: int):
+        # All three as ``args``: the error survives the pickle round
+        # trip a distributed worker ships it through.
+        super().__init__(job_name, key, position)
+        self.job_name = job_name
+        self.key = key
+        self.position = position
+
+    def __str__(self) -> str:
+        return (
+            f"{self.job_name}: group {self.key!r} is out of shuffle order "
+            f"at value {self.position}"
+        )
 
 
 class BatchedMatchJob(MapReduceJob):
@@ -197,8 +221,7 @@ def run_batched_group(matcher, prepared: list, spec, emit, context) -> None:
 
     Groups wait on the *task's* context (the job is shared between
     concurrently running tasks) until :meth:`BatchedMatchJob.
-    finish_reduce`, an earlier :func:`flush_batched_groups` by a reduce
-    function about to emit directly, or :data:`MAX_PENDING_PAIRS`.
+    finish_reduce` or :data:`MAX_PENDING_PAIRS`.
     """
     if context.pending_pairs + spec.count > MAX_PENDING_PAIRS:
         flush_batched_groups(matcher, emit, context)
@@ -211,9 +234,9 @@ def flush_batched_groups(matcher, emit, context) -> None:
 
     The matcher sees one spec over the concatenated groups — every
     pair, in group order and then each spec's own order, which is the
-    order the scalar streaming loops compare and emit in — and the pair
-    counters advance by the same totals, so per-task outputs and
-    counters are byte-identical to the scalar path.
+    order the paper's streaming loops compare and emit in — so a
+    per-pair matcher (the base ``match_batch``) reproduces them pair by
+    pair, and the pair counters advance by the same totals.
     """
     pending = context.pending
     if not pending:
@@ -237,17 +260,16 @@ def flush_batched_groups(matcher, emit, context) -> None:
     flush_pair_counters(context, spec.count, len(matches))
 
 
-def leading_run_split(markers: Sequence) -> int | None:
-    """Split point of a sequence expected to be two contiguous runs.
+def leading_run_split(markers: Sequence, job_name: str, key: Any) -> int:
+    """Split point of a sequence that must be two contiguous runs.
 
     Returns ``split`` such that ``markers[:split]`` all equal
     ``markers[0]`` and ``markers[split:]`` never repeats it — the shape
     a cross-product group has when the stable shuffle delivers one
-    sub-block contiguously before the other.  Returns ``None`` when the
-    leading marker reappears later: the runs are interleaved, no
-    cross-product batch can be formed, and the caller must fall back to
-    its scalar streaming loop (which defines the semantics for such
-    input).  An empty sequence yields 0, a single run its full length.
+    sub-block contiguously before the other.  A leading marker that
+    reappears later means the runs are interleaved:
+    :class:`ShuffleOrderError`.  An empty sequence yields 0, a single
+    run its full length.
     """
     if not markers:
         return 0
@@ -256,7 +278,33 @@ def leading_run_split(markers: Sequence) -> int | None:
     split = 1
     while split < n and markers[split] == first:
         split += 1
-    for marker in markers[split:]:
-        if marker == first:
-            return None
+    for position in range(split, n):
+        if markers[position] == first:
+            raise ShuffleOrderError(job_name, key, position)
     return split
+
+
+def self_join_group(job, values, emit, context: TaskContext) -> None:
+    """Self-join of a whole block (``k.*``) or one sub-block (``k.i``)."""
+    prepare = job.matcher.prepare
+    prepared = [prepare(e) for e, _partition in values]
+    run_batched_group(
+        job.matcher, prepared, TrianglePairs(len(prepared)), emit, context
+    )
+
+
+def cross_product_group(job, key, values, emit, context: TaskContext) -> None:
+    """Cartesian product of two sub-blocks (``k.i×j``).
+
+    Values arrive partition-contiguously (stable shuffle), so the first
+    partition index delimits the buffered sub-block — Algorithm 1 lines
+    56-65: one buffered run × one streamed run.
+    """
+    split = leading_run_split(
+        [partition for _e, partition in values], job.name, key
+    )
+    prepare = job.matcher.prepare
+    prepared = [prepare(e) for e, _partition in values]
+    run_batched_group(
+        job.matcher, prepared, CrossPairs(split, len(prepared)), emit, context
+    )

@@ -47,7 +47,6 @@ def resolve_with_missing_keys(
     num_reduce_tasks: int = 3,
     backend: ExecutionBackend | str = "serial",
     memory_budget: int | None = None,
-    batch_kernel: bool = True,
 ) -> MatchResult:
     """One-source dedup where some entities lack a blocking key.
 
@@ -71,7 +70,6 @@ def resolve_with_missing_keys(
             num_reduce_tasks=num_reduce_tasks,
             backend=backend,
             memory_budget=memory_budget,
-            batch_kernel=batch_kernel,
         )
 
     if len(keyed) >= 2:
@@ -97,7 +95,6 @@ def link_with_missing_keys(
     num_reduce_tasks: int = 3,
     backend: ExecutionBackend | str = "serial",
     memory_budget: int | None = None,
-    batch_kernel: bool = True,
 ) -> MatchResult:
     """Two-source linkage with keyless entities (Appendix I's union).
 
@@ -124,7 +121,6 @@ def link_with_missing_keys(
             num_reduce_tasks=num_reduce_tasks,
             backend=backend,
             memory_budget=memory_budget,
-            batch_kernel=batch_kernel,
         )
         leg_result = pipeline.run(r_leg, s_leg, num_r_partitions=1, num_s_partitions=1)
         result.merge(leg_result.matches)

@@ -9,14 +9,12 @@ index and evaluates exactly those pairs falling into its own range.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from typing import Any, Sequence
 
 from ..er.batch_kernel import SpanPairs
 from ..er.blocking import BlockKey
 from ..er.entity import Entity
 from ..er.matching import Matcher
-from ..mapreduce.counters import flush_pair_counters
 from ..mapreduce.job import TaskContext
 from ..mapreduce.types import KeyCodec, PackedProjection, packed_keys_enabled
 from .bdm import BlockDistributionMatrix
@@ -53,13 +51,10 @@ class PairRangeJob(BatchedMatchJob):
         bdm: BlockDistributionMatrix,
         matcher: Matcher,
         num_reduce_tasks: int,
-        *,
-        batch_kernel: bool = False,
     ):
         self.bdm = bdm
         self.matcher = matcher
         self.num_reduce_tasks = num_reduce_tasks
-        self.batch_kernel = batch_kernel
         self.enumeration = PairEnumeration(bdm.block_sizes())
         self.spec = PairRangeSpec(self.enumeration.total_pairs, num_reduce_tasks)
         if packed_keys_enabled():
@@ -113,52 +108,23 @@ class PairRangeJob(BatchedMatchJob):
         # sort), so the buffered indexes form a sorted int array.  For
         # each incoming entity the qualifying partners are one
         # contiguous run of that array (`row_span`): two binary
-        # searches replace the old per-pair index/range computation,
-        # and the slice is walked as plain ints — the same pairs, in
-        # the same order, with zero per-pair arithmetic.
+        # searches replace a per-pair index/range computation, and the
+        # run is recorded as one (entity, start, stop) index span;
+        # `finish_reduce` scores the task's groups in one `match_batch`
+        # call.
         block = key.block
-        enumeration = self.enumeration
         lo, hi = self.spec.bounds(key.range_index)
-        if self.batch_kernel:
-            # Same two binary searches per entity, but the in-range runs
-            # are recorded as (entity, start, stop) index spans instead
-            # of walked pair by pair; `finish_reduce` scores the task's
-            # groups in one `match_batch` call.
-            row_span = enumeration.row_span
-            prepare = self.matcher.prepare
-            buffer_x: list[int] = []
-            prepared: list = []
-            spans: list[tuple[int, int, int]] = []
-            for t, (e2, x2) in enumerate(values):
-                prepared.append(prepare(e2))
-                x_lo, x_hi = row_span(block, x2, lo, hi)
-                if x_lo <= x_hi:
-                    start, stop = sorted_run_bounds(buffer_x, x_lo, x_hi)
-                    if stop > start:
-                        spans.append((t, start, stop))
-                buffer_x.append(x2)
-            run_batched_group(self.matcher, prepared, SpanPairs(spans), emit, context)
-            return
-        matcher = self.matcher
-        prepare = matcher.prepare
-        match_prepared = matcher.match_prepared
-        row_span = enumeration.row_span
-        comparisons = 0
-        matched = 0
+        row_span = self.enumeration.row_span
+        prepare = self.matcher.prepare
         buffer_x: list[int] = []
-        buffer_p: list = []
-        for e2, x2 in values:
-            p2 = prepare(e2)
+        prepared: list = []
+        spans: list[tuple[int, int, int]] = []
+        for t, (e2, x2) in enumerate(values):
+            prepared.append(prepare(e2))
             x_lo, x_hi = row_span(block, x2, lo, hi)
             if x_lo <= x_hi:
-                start = bisect_left(buffer_x, x_lo)
-                stop = bisect_right(buffer_x, x_hi, start)
-                for i in range(start, stop):
-                    pair = match_prepared(buffer_p[i], p2)
-                    if pair is not None:
-                        matched += 1
-                        emit(None, pair)
-                comparisons += stop - start
+                start, stop = sorted_run_bounds(buffer_x, x_lo, x_hi)
+                if stop > start:
+                    spans.append((t, start, stop))
             buffer_x.append(x2)
-            buffer_p.append(p2)
-        flush_pair_counters(context, comparisons, matched)
+        run_batched_group(self.matcher, prepared, SpanPairs(spans), emit, context)

@@ -57,17 +57,12 @@ class LoadBalancingStrategy(ABC):
         num_reduce_tasks: int,
         *,
         blocking: BlockingFunction | None = None,
-        batch_kernel: bool = False,
     ) -> MapReduceJob:
         """The matching job (Job 2) for the one-source case.
 
         ``blocking`` is the workflow's blocking function; strategies
         that consume raw (un-annotated) input — currently only Basic —
         use it to derive keys in their map phase, the rest ignore it.
-        ``batch_kernel`` turns on the batched reduce loops (whole
-        groups scored through ``Matcher.match_batch`` — see
-        :mod:`repro.er.batch_kernel`); results are byte-identical
-        either way.
         """
 
     @abstractmethod
@@ -85,8 +80,6 @@ class LoadBalancingStrategy(ABC):
         bdm: DualSourceBDM,
         matcher: Matcher,
         num_reduce_tasks: int,
-        *,
-        batch_kernel: bool = False,
     ) -> MapReduceJob:
         """The matching job for the two-source case (Appendix I)."""
         raise NotImplementedError(
@@ -109,8 +102,6 @@ class LoadBalancingStrategy(ABC):
         bdm: DeltaBDM,
         matcher: Matcher,
         num_reduce_tasks: int,
-        *,
-        batch_kernel: bool = False,
     ) -> MapReduceJob:
         """The matching job for the incremental (delta) case: new
         records against a persisted corpus, comparing only new-vs-old
@@ -138,6 +129,21 @@ class LoadBalancingStrategy(ABC):
 STRATEGIES: dict[str, type[LoadBalancingStrategy]] = {}
 
 _S = TypeVar("_S", bound=type[LoadBalancingStrategy])
+
+
+def _check_pinned_batch_kernel(batch_kernel: bool) -> None:
+    """The built-in ``build_job``'s one leftover of the removed option.
+
+    The pair-spec reduce loop is the only one since 3.0.0; the frozen
+    layered benchmark's traced replay still passes
+    ``batch_kernel=True``, so the built-in strategies accept exactly
+    that value until the next ``benchmark`` PR drops the keyword.
+    """
+    if batch_kernel is not True:
+        raise ValueError(
+            f"batch_kernel={batch_kernel!r}: the scalar reduce loops were "
+            "removed in 3.0.0 — there is nothing to set (see docs/api.md)"
+        )
 
 
 def register_strategy(cls: _S) -> _S:
@@ -170,18 +176,19 @@ class BasicStrategy(LoadBalancingStrategy):
     requires_bdm = False
 
     def build_job(
-        self, bdm, matcher, num_reduce_tasks, *, blocking=None, batch_kernel=False
+        self, bdm, matcher, num_reduce_tasks, *, blocking=None, batch_kernel=True
     ):
-        return BasicMatchJob(matcher, blocking=blocking, batch_kernel=batch_kernel)
+        _check_pinned_batch_kernel(batch_kernel)
+        return BasicMatchJob(matcher, blocking=blocking)
 
     def plan(self, bdm, num_reduce_tasks, *, map_input_records=None):
         return plan_basic(bdm, num_reduce_tasks, map_input_records=map_input_records)
 
-    def build_delta_job(self, bdm, matcher, num_reduce_tasks, *, batch_kernel=False):
+    def build_delta_job(self, bdm, matcher, num_reduce_tasks):
         # The delta path always has the merged BDM in hand (it needs
         # the delta's block counts anyway), so even Basic consumes
         # annotated input here.
-        return DeltaBasicJob(bdm, matcher, batch_kernel=batch_kernel)
+        return DeltaBasicJob(bdm, matcher)
 
     def plan_delta(self, bdm, num_reduce_tasks, *, map_input_records=None):
         return plan_delta_basic(
@@ -196,29 +203,26 @@ class BlockSplitStrategy(LoadBalancingStrategy):
     name = "blocksplit"
 
     def build_job(
-        self, bdm, matcher, num_reduce_tasks, *, blocking=None, batch_kernel=False
+        self, bdm, matcher, num_reduce_tasks, *, blocking=None, batch_kernel=True
     ):
-        return BlockSplitJob(bdm, matcher, num_reduce_tasks, batch_kernel=batch_kernel)
+        _check_pinned_batch_kernel(batch_kernel)
+        return BlockSplitJob(bdm, matcher, num_reduce_tasks)
 
     def plan(self, bdm, num_reduce_tasks, *, map_input_records=None):
         return plan_blocksplit(
             bdm, num_reduce_tasks, map_input_records=map_input_records
         )
 
-    def build_dual_job(self, bdm, matcher, num_reduce_tasks, *, batch_kernel=False):
-        return DualBlockSplitJob(
-            bdm, matcher, num_reduce_tasks, batch_kernel=batch_kernel
-        )
+    def build_dual_job(self, bdm, matcher, num_reduce_tasks):
+        return DualBlockSplitJob(bdm, matcher, num_reduce_tasks)
 
     def plan_dual(self, bdm, num_reduce_tasks, *, map_input_records=None):
         return plan_dual_blocksplit(
             bdm, num_reduce_tasks, map_input_records=map_input_records
         )
 
-    def build_delta_job(self, bdm, matcher, num_reduce_tasks, *, batch_kernel=False):
-        return DeltaBlockSplitJob(
-            bdm, matcher, num_reduce_tasks, batch_kernel=batch_kernel
-        )
+    def build_delta_job(self, bdm, matcher, num_reduce_tasks):
+        return DeltaBlockSplitJob(bdm, matcher, num_reduce_tasks)
 
     def plan_delta(self, bdm, num_reduce_tasks, *, map_input_records=None):
         return plan_delta_blocksplit(
@@ -233,29 +237,26 @@ class PairRangeStrategy(LoadBalancingStrategy):
     name = "pairrange"
 
     def build_job(
-        self, bdm, matcher, num_reduce_tasks, *, blocking=None, batch_kernel=False
+        self, bdm, matcher, num_reduce_tasks, *, blocking=None, batch_kernel=True
     ):
-        return PairRangeJob(bdm, matcher, num_reduce_tasks, batch_kernel=batch_kernel)
+        _check_pinned_batch_kernel(batch_kernel)
+        return PairRangeJob(bdm, matcher, num_reduce_tasks)
 
     def plan(self, bdm, num_reduce_tasks, *, map_input_records=None):
         return plan_pairrange(
             bdm, num_reduce_tasks, map_input_records=map_input_records
         )
 
-    def build_dual_job(self, bdm, matcher, num_reduce_tasks, *, batch_kernel=False):
-        return DualPairRangeJob(
-            bdm, matcher, num_reduce_tasks, batch_kernel=batch_kernel
-        )
+    def build_dual_job(self, bdm, matcher, num_reduce_tasks):
+        return DualPairRangeJob(bdm, matcher, num_reduce_tasks)
 
     def plan_dual(self, bdm, num_reduce_tasks, *, map_input_records=None):
         return plan_dual_pairrange(
             bdm, num_reduce_tasks, map_input_records=map_input_records
         )
 
-    def build_delta_job(self, bdm, matcher, num_reduce_tasks, *, batch_kernel=False):
-        return DeltaPairRangeJob(
-            bdm, matcher, num_reduce_tasks, batch_kernel=batch_kernel
-        )
+    def build_delta_job(self, bdm, matcher, num_reduce_tasks):
+        return DeltaPairRangeJob(bdm, matcher, num_reduce_tasks)
 
     def plan_delta(self, bdm, num_reduce_tasks, *, map_input_records=None):
         return plan_delta_pairrange(

@@ -11,13 +11,11 @@ The BDM keeps its ``b × m`` shape but every block's pair count becomes
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from typing import Any, Sequence
 
 from ..er.blocking import BlockingFunction, BlockKey
 from ..er.entity import Entity
 from ..er.matching import Matcher
-from ..mapreduce.counters import flush_pair_counters
 from ..mapreduce.job import TaskContext
 from ..mapreduce.runtime import JobResult, LocalRuntime
 from ..mapreduce.types import (
@@ -39,7 +37,7 @@ from .keys import DualBlockSplitKey, DualPairRangeKey
 from .match_tasks import (
     BatchedMatchJob,
     MatchTask,
-    flush_batched_groups,
+    ShuffleOrderError,
     run_batched_group,
 )
 
@@ -51,21 +49,20 @@ SOURCE_S = "S"
 _SOURCE_RANKS = {SOURCE_R: 0, SOURCE_S: 1}
 
 
-def _r_prefix_length(sources) -> int | None:
-    """Length of the leading R run; ``None`` when an R follows an S.
+def _r_prefix_length(sources, job_name: str, key: Any) -> int:
+    """Length of the leading R run of a dual reduce group.
 
     The dual reduce groups rely on full-key sorting to deliver every R
     entity before any S entity, which makes buffer positions equal
-    arrival positions.  The batched paths verify that shape holds —
-    falling back to the scalar streaming loops (which define the
-    semantics for out-of-order input) when it does not.
+    arrival positions.  An R after an S breaks that:
+    :class:`~repro.core.match_tasks.ShuffleOrderError`.
     """
     split = 0
     streamed = False
     for position, source in enumerate(sources):
         if source == SOURCE_R:
             if streamed:
-                return None
+                raise ShuffleOrderError(job_name, key, position)
             split = position + 1
         else:
             streamed = True
@@ -274,15 +271,12 @@ class DualBlockSplitJob(BatchedMatchJob):
         bdm: DualSourceBDM,
         matcher: Matcher,
         num_reduce_tasks: int,
-        *,
-        batch_kernel: bool = False,
     ):
         from .match_tasks import assign_greedy  # local import avoids cycle
 
         self.bdm = bdm
         self.matcher = matcher
         self.num_reduce_tasks = num_reduce_tasks
-        self.batch_kernel = batch_kernel
         tasks, split_blocks, threshold = generate_dual_match_tasks(
             bdm, num_reduce_tasks
         )
@@ -345,42 +339,15 @@ class DualBlockSplitJob(BatchedMatchJob):
         emit,
         context: TaskContext,
     ) -> None:
-        if self.batch_kernel:
-            split = _r_prefix_length(entity.source for entity in values)
-            if split is not None:
-                # R prefix × S suffix — one cross batch.
-                prepare = self.matcher.prepare
-                prepared = [prepare(e) for e in values]
-                run_batched_group(
-                    self.matcher,
-                    prepared,
-                    CrossPairs(split, len(prepared)),
-                    emit,
-                    context,
-                )
-                return
-            # An R arrived after an S (full-key sort would not produce
-            # this): the scalar loop below defines the semantics.
-            # It emits directly, so earlier groups go out first.
-            flush_batched_groups(self.matcher, emit, context)
-        matcher = self.matcher
-        prepare = matcher.prepare
-        match_prepared = matcher.match_prepared
-        comparisons = 0
-        matched = 0
-        buffer: list = []
-        for entity in values:
-            if entity.source == SOURCE_R:
-                buffer.append(prepare(entity))
-            else:
-                p2 = prepare(entity)
-                for p1 in buffer:
-                    pair = match_prepared(p1, p2)
-                    if pair is not None:
-                        matched += 1
-                        emit(None, pair)
-                comparisons += len(buffer)
-        flush_pair_counters(context, comparisons, matched)
+        # R prefix × S suffix — one cross batch.
+        split = _r_prefix_length(
+            (entity.source for entity in values), self.name, key
+        )
+        prepare = self.matcher.prepare
+        prepared = [prepare(e) for e in values]
+        run_batched_group(
+            self.matcher, prepared, CrossPairs(split, len(prepared)), emit, context
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -404,13 +371,10 @@ class DualPairRangeJob(BatchedMatchJob):
         bdm: DualSourceBDM,
         matcher: Matcher,
         num_reduce_tasks: int,
-        *,
-        batch_kernel: bool = False,
     ):
         self.bdm = bdm
         self.matcher = matcher
         self.num_reduce_tasks = num_reduce_tasks
-        self.batch_kernel = batch_kernel
         self.enumeration = DualPairEnumeration(bdm.dual_block_sizes())
         self.spec = PairRangeSpec(self.enumeration.total_pairs, num_reduce_tasks)
         if packed_keys_enabled():
@@ -473,59 +437,28 @@ class DualPairRangeJob(BatchedMatchJob):
         # and arrive in ascending R-index order, so the buffered R
         # indexes form a sorted int array.  For each S entity the
         # qualifying R indexes are one contiguous interval (`r_span`,
-        # O(1) closed form) — bisect the buffer and walk exactly that
-        # slice, as in the one-source PairRange reduce.
+        # O(1) closed form) — bisect the buffer and record exactly that
+        # slice as one index span, as in the one-source PairRange reduce.
         block = key.block
         lo, hi = self.spec.bounds(key.range_index)
         r_span = self.enumeration.r_span
-        if self.batch_kernel:
-            split = _r_prefix_length(entity.source for entity, _index in values)
-            if split is not None:
-                # R's occupy positions [0, split), so buffer positions
-                # equal prepared positions; each S entity's qualifying
-                # R run becomes one index span.
-                prepare = self.matcher.prepare
-                buffer_x: list[int] = []
-                prepared: list = []
-                spans: list[tuple[int, int, int]] = []
-                for t, (entity, index) in enumerate(values):
-                    prepared.append(prepare(entity))
-                    if entity.source == SOURCE_R:
-                        buffer_x.append(index)
-                        continue
-                    x_lo, x_hi = r_span(block, index, lo, hi)
-                    if x_lo <= x_hi:
-                        start, stop = sorted_run_bounds(buffer_x, x_lo, x_hi)
-                        if stop > start:
-                            spans.append((t, start, stop))
-                run_batched_group(
-                    self.matcher, prepared, SpanPairs(spans), emit, context
-                )
-                return
-            # Out-of-order input, as above: the scalar loop emits
-            # directly, so earlier groups go out first.
-            flush_batched_groups(self.matcher, emit, context)
-        matcher = self.matcher
-        prepare = matcher.prepare
-        match_prepared = matcher.match_prepared
-        comparisons = 0
-        matched = 0
+        # R's occupy positions [0, split), so buffer positions equal
+        # prepared positions — checked here, not assumed.
+        _r_prefix_length(
+            (entity.source for entity, _index in values), self.name, key
+        )
+        prepare = self.matcher.prepare
         buffer_x: list[int] = []
-        buffer_p: list = []
-        for entity, index in values:
+        prepared: list = []
+        spans: list[tuple[int, int, int]] = []
+        for t, (entity, index) in enumerate(values):
+            prepared.append(prepare(entity))
             if entity.source == SOURCE_R:
                 buffer_x.append(index)
-                buffer_p.append(prepare(entity))
                 continue
-            p2 = prepare(entity)
             x_lo, x_hi = r_span(block, index, lo, hi)
             if x_lo <= x_hi:
-                start = bisect_left(buffer_x, x_lo)
-                stop = bisect_right(buffer_x, x_hi, start)
-                for i in range(start, stop):
-                    pair = match_prepared(buffer_p[i], p2)
-                    if pair is not None:
-                        matched += 1
-                        emit(None, pair)
-                comparisons += stop - start
-        flush_pair_counters(context, comparisons, matched)
+                start, stop = sorted_run_bounds(buffer_x, x_lo, x_hi)
+                if stop > start:
+                    spans.append((t, start, stop))
+        run_batched_group(self.matcher, prepared, SpanPairs(spans), emit, context)

@@ -84,10 +84,7 @@ class PipelineRequest:
     for executing backends (records held in memory before spilling).
     ``cluster``/``cost_model`` are optional for executing backends (they
     enable the simulated timeline) and default to a small reference
-    cluster for the planned backend.  ``batch_kernel`` (default on)
-    makes the matching job score whole reduce groups through
-    :meth:`~repro.er.matching.Matcher.match_batch` instead of one
-    ``match_prepared`` call per pair; results are byte-identical.
+    cluster for the planned backend.
     """
 
     strategy: LoadBalancingStrategy
@@ -102,7 +99,6 @@ class PipelineRequest:
     source: RecordSource | None = None
     memory_budget: int | None = None
     delta: DeltaSpec | None = None
-    batch_kernel: bool = True
     properties: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:

@@ -172,20 +172,12 @@ class ExecutingBackendBase(ExecutionBackend):
                 Partition(list(p), index=i)
                 for i, p in enumerate([*spec.old_partitions, *job2_input])
             ]
-            job = strategy.build_delta_job(
-                matching, request.matcher, r, batch_kernel=request.batch_kernel
-            )
+            job = strategy.build_delta_job(matching, request.matcher, r)
         elif request.dual:
-            job = strategy.build_dual_job(
-                matching, request.matcher, r, batch_kernel=request.batch_kernel
-            )
+            job = strategy.build_dual_job(matching, request.matcher, r)
         else:
             job = strategy.build_job(
-                matching,
-                request.matcher,
-                r,
-                blocking=request.blocking,
-                batch_kernel=request.batch_kernel,
+                matching, request.matcher, r, blocking=request.blocking
             )
         self._set_stage(runtime, STAGE_MATCHING)
         job2 = runtime.run(

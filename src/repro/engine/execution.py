@@ -61,10 +61,10 @@ class MatcherStats:
     (zero for matchers without a cache); like the comparison counters
     they are snapshotted at submit time, so a matcher reused across
     back-to-back runs reports *this* run's cache behaviour, never
-    numbers leaked from a prior run.  The memo belongs to the per-pair
-    path: a run on the default batch kernel never consults it and
-    reports 0 / 0; ``batch_kernel=False`` runs (and the scalar
-    fallbacks) are the ones these two numbers describe.
+    numbers leaked from a prior run.  The memo belongs to
+    ``match_prepared``: the matching jobs score through ``match_batch``,
+    which never consults it, so a pipeline run reports 0 / 0 — only
+    Sorted Neighborhood's windowed loop moves these two numbers.
 
     With backends that run matching in other processes (the parallel
     process pool, distributed workers), matcher instance state mutates

@@ -84,13 +84,11 @@ class ERPipeline:
         buffers in memory; beyond it, records spill through sorted run
         files on disk (:class:`~repro.mapreduce.ExternalShuffle`).
         Matches and counters are byte-identical either way.
-    batch_kernel:
-        When true (the default), matching reduce tasks score whole
-        groups through :meth:`~repro.er.matching.Matcher.match_batch`
-        (the columnar batch kernel of :mod:`repro.er.batch_kernel`)
-        instead of one ``match_prepared`` call per pair.  Matches and
-        counters are byte-identical either way; ``False`` restores the
-        scalar pair loops.
+
+    Matching reduce tasks score whole groups through
+    :meth:`~repro.er.matching.Matcher.match_batch` — the columnar batch
+    kernel of :mod:`repro.er.batch_kernel` for the default matcher, one
+    ``match_prepared`` call per pair in the same order for any other.
     """
 
     def __init__(
@@ -106,7 +104,6 @@ class ERPipeline:
         cluster: ClusterSpec | None = None,
         cost_model: CostModel | None = None,
         memory_budget: int | None = None,
-        batch_kernel: bool = True,
     ):
         self.strategy = get_strategy(strategy)
         self.blocking = blocking
@@ -118,7 +115,6 @@ class ERPipeline:
         self.cluster = cluster
         self.cost_model = cost_model
         self.memory_budget = memory_budget
-        self.batch_kernel = batch_kernel
 
     # -- fluent configuration ----------------------------------------------
 
@@ -156,7 +152,6 @@ class ERPipeline:
             cluster=self.cluster,
             cost_model=self.cost_model,
             memory_budget=self.memory_budget,
-            batch_kernel=self.batch_kernel,
         )
         settings.update(overrides)
         strategy = settings.pop("strategy")
@@ -376,7 +371,6 @@ class ERPipeline:
             cluster=self.cluster,
             cost_model=self.cost_model,
             memory_budget=self.memory_budget,
-            batch_kernel=self.batch_kernel,
             **kind,
         )
 

@@ -83,8 +83,9 @@ class Matcher:
     Subclasses implement :meth:`similarity`; :meth:`match` applies the
     threshold and records statistics.
 
-    The reduce hot loops call the matcher through the *prepared*
-    protocol: :meth:`prepare` runs once per entity per reduce group and
+    The reduce loops call the matcher through the *prepared* protocol:
+    :meth:`prepare` runs once per entity per reduce group and
+    :meth:`match_batch` once per reduce task, which by default calls
     :meth:`match_prepared` once per pair.  The base implementations are
     the identity (``prepare`` returns the entity, ``match_prepared``
     delegates to :meth:`match`), so custom matchers keep their exact
@@ -133,9 +134,9 @@ class Matcher:
         (:class:`~repro.er.batch_kernel.TrianglePairs` and friends)
         yielding ``(i, j)`` index pairs into ``prepared``.  The base
         implementation is the *identity* batching: it calls
-        :meth:`match_prepared` once per pair, in spec order — so custom
-        matchers keep their exact per-pair behaviour, comparison order,
-        and counters when a batched reduce loop hands them a group.
+        :meth:`match_prepared` once per pair, in spec order — the order
+        of the paper's streaming reduce loops — so custom matchers keep
+        their exact per-pair behaviour, comparison order, and counters.
         Matchers with a vectorizable kernel override this to score the
         batch in one pass (:class:`ThresholdMatcher` does).
         """
@@ -171,17 +172,16 @@ class ThresholdMatcher(Matcher):
     per reduce group instead of once per pair, and on the per-pair
     path (:meth:`match_prepared`) verdicts for repeated value pairs are
     memoised in an LRU keyed on the interned string pair (``memoize``
-    entries; 0 disables).  ``prepared=False`` forces the legacy per-pair
-    path — byte-identical in matches and counters — which
-    ``benchmarks/perf_harness.py`` uses as its "before" measurement.  A custom ``similarity_fn`` or a
-    subclass override of ``similarity``/``is_match``/``match`` also
-    disables the fast path, preserving the override's semantics.
+    entries; 0 disables).  A custom ``similarity_fn`` or a subclass
+    override of ``similarity``/``is_match``/``match`` disables the fast
+    path — every pair then goes through :meth:`match`, byte-identical
+    in matches and counters — preserving the override's semantics.
 
     ``cache_hits``/``cache_misses`` count only the comparisons of the
     per-pair path that reach the cache+kernel stage; identical values
     (interned pointer check) and pairs rejected by the length filter
-    bypass both, and :meth:`match_batch` — the default reduce path —
-    never touches the memo, so a batched run reports 0 / 0.
+    bypass both, and :meth:`match_batch` — what the matching jobs
+    call — never touches the memo, so a pipeline run reports 0 / 0.
     """
 
     def __init__(
@@ -190,7 +190,6 @@ class ThresholdMatcher(Matcher):
         threshold: float = 0.8,
         similarity_fn: Callable[[str, str], float] | None = None,
         *,
-        prepared: bool = True,
         memoize: int = 4096,
     ):
         super().__init__()
@@ -201,7 +200,6 @@ class ThresholdMatcher(Matcher):
         self.attribute = attribute
         self.threshold = threshold
         self._similarity_fn = similarity_fn
-        self._prepared_enabled = prepared
         self._memoize = memoize
         self._cache: dict[tuple[str, str], float] = {}
         self.cache_hits = 0
@@ -227,8 +225,7 @@ class ThresholdMatcher(Matcher):
     def prepare(self, entity: Entity) -> Any:
         cls = type(self)
         if (
-            not self._prepared_enabled
-            or self._similarity_fn is not None
+            self._similarity_fn is not None
             or cls.similarity is not ThresholdMatcher.similarity
             or cls.is_match is not ThresholdMatcher.is_match
             or cls.match is not Matcher.match
@@ -297,7 +294,7 @@ class ThresholdMatcher(Matcher):
 
         Active only on the prepared fast path (interned
         ``_PreparedEntity`` inputs); any other input — a custom
-        similarity function, subclass overrides, ``prepared=False`` —
+        similarity function, subclass overrides —
         falls back to the base per-pair batching, preserving exact
         semantics.  The kernel scores are byte-identical to
         :meth:`match_prepared`'s (same short-circuits, same bounded
@@ -307,7 +304,7 @@ class ThresholdMatcher(Matcher):
         path's alone: the batch computes each distinct value pair of
         its input once and neither reads nor writes ``_cache``, so
         ``cache_hits``/``cache_misses`` do not move here — the one
-        difference between a batched and a scalar run
+        difference between this and :meth:`match_prepared` per pair
         (:mod:`repro.er.batch_kernel` has the numbers behind that).
         """
         if pairs.count == 0:

@@ -11,9 +11,9 @@ Edit distance is the per-pair hot path of the whole system, so
 (shorter string ≤ 64 chars — the common ER case) or a banded DP, with
 Ukkonen-style ``max_distance`` early exits throughout; the classic
 two-row DP survives as :func:`levenshtein_distance_reference`, the
-oracle the property tests and ``benchmarks/perf_harness.py`` measure
-against.  :func:`similarity_at_least` is the boolean threshold fast
-path (length filter before any DP).
+oracle the property tests measure against.
+:func:`similarity_at_least` is the boolean threshold fast path (length
+filter before any DP).
 
 All functions return similarities in ``[0, 1]`` where 1 means equal.
 """
@@ -31,8 +31,7 @@ def levenshtein_distance_reference(
     """Classic dynamic-programming edit distance with two rows.
 
     This is the O(n·m) reference implementation the bit-parallel and
-    banded kernels are verified against (and the "before" measurement
-    of ``benchmarks/perf_harness.py``).  ``max_distance`` enables early
+    banded kernels are verified against.  ``max_distance`` enables early
     exit: once every cell of a row exceeds the bound the true distance
     cannot come back under it, and ``max_distance + 1`` is returned.
     """
@@ -68,65 +67,6 @@ def levenshtein_distance_reference(
     return previous[len(b)]
 
 
-def _myers_distance(pattern: str, text: str, max_distance: int | None) -> int:
-    """Myers' bit-parallel edit distance — O(|text|) word operations.
-
-    ``pattern`` must be the shorter string and at most 64 characters;
-    the whole DP column lives in the bits of two machine words (VP/VN,
-    the positive/negative vertical deltas).  The running ``score`` is
-    the value of the column's last cell; the final distance can drop by
-    at most one per remaining text character, which gives the Ukkonen
-    early exit ``score - remaining > max_distance``.
-    """
-    m = len(pattern)
-    peq: dict[str, int] = {}
-    bit = 1
-    for ch in pattern:
-        peq[ch] = peq.get(ch, 0) | bit
-        bit <<= 1
-    mask = (1 << m) - 1
-    last = 1 << (m - 1)
-    vp = mask
-    vn = 0
-    score = m
-    get = peq.get
-    if max_distance is None:
-        for ch in text:
-            eq = get(ch, 0)
-            xv = eq | vn
-            xh = (((eq & vp) + vp) ^ vp) | eq
-            hp = vn | ~(xh | vp)
-            hn = vp & xh
-            if hp & last:
-                score += 1
-            elif hn & last:
-                score -= 1
-            hp = ((hp << 1) | 1) & mask
-            hn = (hn << 1) & mask
-            vp = (hn | ~(xv | hp)) & mask
-            vn = hp & xv
-        return score
-    remaining = len(text)
-    for ch in text:
-        eq = get(ch, 0)
-        xv = eq | vn
-        xh = (((eq & vp) + vp) ^ vp) | eq
-        hp = vn | ~(xh | vp)
-        hn = vp & xh
-        if hp & last:
-            score += 1
-        elif hn & last:
-            score -= 1
-        remaining -= 1
-        if score - remaining > max_distance:
-            return max_distance + 1
-        hp = ((hp << 1) | 1) & mask
-        hn = (hn << 1) & mask
-        vp = (hn | ~(xv | hp)) & mask
-        vn = hp & xv
-    return score
-
-
 MyersMasks = tuple[dict[str, int], int, int, int]
 
 
@@ -139,7 +79,7 @@ def myers_masks(pattern: str) -> MyersMasks:
     short strings, so batched scoring packs them once per *distinct*
     string and reuses them across every pair sharing that pattern
     (:mod:`repro.er.batch_kernel`).  ``pattern`` must be non-empty and
-    at most 64 characters, same as :func:`_myers_distance`.
+    at most 64 characters.
     """
     m = len(pattern)
     peq: dict[str, int] = {}
@@ -151,11 +91,15 @@ def myers_masks(pattern: str) -> MyersMasks:
 
 
 def myers_distance_masks(masks: MyersMasks, text: str, max_distance: int | None) -> int:
-    """:func:`_myers_distance` over masks prepacked by :func:`myers_masks`.
+    """Myers' bit-parallel edit distance — O(|text|) word operations.
 
-    Identical loop, identical results — the only difference is that the
-    per-call ``peq`` construction has been hoisted out so a batch of
-    pairs sharing one pattern pays it once.
+    ``masks`` come from :func:`myers_masks` over the pattern — the
+    shorter string, at most 64 characters: the whole DP column lives in
+    the bits of two machine words (VP/VN, the positive/negative vertical
+    deltas).  The running ``score`` is the value of the column's last
+    cell; the final distance can drop by at most one per remaining text
+    character, which gives the Ukkonen early exit
+    ``score - remaining > max_distance``.
     """
     peq, mask, last, m = masks
     vp = mask
@@ -197,6 +141,11 @@ def myers_distance_masks(masks: MyersMasks, text: str, max_distance: int | None)
         vp = (hn | ~(xv | hp)) & mask
         vn = hp & xv
     return score
+
+
+def _myers_distance(pattern: str, text: str, max_distance: int | None) -> int:
+    """:func:`myers_distance_masks` for one pair: pack, then run."""
+    return myers_distance_masks(myers_masks(pattern), text, max_distance)
 
 
 def myers_mask_table(np, codes, width):
@@ -494,9 +443,8 @@ def levenshtein_similarity_bounded_reference(
 ) -> float:
     """:func:`levenshtein_similarity_bounded` over the reference DP kernel.
 
-    Exists so the equivalence tests and ``benchmarks/perf_harness.py``
-    can run the exact pre-optimisation hot path side by side with the
-    bit-parallel one.
+    Exists so the equivalence tests can run the exact pre-optimisation
+    hot path side by side with the bit-parallel one.
     """
     if not a and not b:
         return 1.0

@@ -193,9 +193,9 @@ def packed_keys_enabled() -> bool:
 def set_packed_keys(enabled: bool) -> None:
     """Enable/disable packed-key projections for jobs built afterwards.
 
-    Exists for the equivalence tests and ``benchmarks/perf_harness.py``,
-    which prove/measure the packed and tuple shuffle paths against each
-    other; production code has no reason to turn this off.
+    Exists for the equivalence tests, which prove the packed and tuple
+    shuffle paths against each other; production code has no reason to
+    turn this off.
     """
     global _PACKED_KEYS
     _PACKED_KEYS = bool(enabled)

@@ -1,22 +1,27 @@
 """One kernel call per reduce task: reduce task by reduce task, scoring
 a task's groups together (``run_batched_group`` → ``finish_reduce`` →
 one ``match_batch`` over a ``ConcatPairs``) yields the same
-``ReduceTaskResult.output`` tuple and the same counters as the scalar
-streaming loops — for every strategy, two-source and delta jobs, through
-the pre-flush a directly-emitting scalar fallback makes, and through the
-pending-pair limit."""
+``ReduceTaskResult.output`` tuple and the same counters as the per-pair
+matcher (``similarity_fn=``: one ``match`` per pair, in the order of the
+paper's streaming loops) through the same jobs — for every strategy,
+two-source and delta jobs, and through the pending-pair limit.  A group
+whose two runs arrive interleaved fails closed with
+``ShuffleOrderError``."""
 
 from __future__ import annotations
+
+import pickle
 
 import pytest
 
 import repro.core.match_tasks as match_tasks
+from repro.core import ShuffleOrderError
 from repro.core.bdm import BlockDistributionMatrix
 from repro.core.blocksplit import BlockSplitJob
 from repro.core.delta import DeltaBDM, DeltaBlockSplitJob
-from repro.core.keys import BlockSplitKey, DualBlockSplitKey
+from repro.core.keys import BlockSplitKey, DualBlockSplitKey, DualPairRangeKey
 from repro.core.strategy import STRATEGIES
-from repro.core.two_source import DualBlockSplitJob, DualSourceBDM
+from repro.core.two_source import DualBlockSplitJob, DualPairRangeJob, DualSourceBDM
 from repro.datasets.generators import generate_products
 from repro.engine import ERPipeline
 from repro.engine.incremental import CorpusState
@@ -24,7 +29,8 @@ from repro.er.batch_kernel import ConcatPairs
 from repro.er.blocking import PrefixBlocking
 from repro.er.entity import Entity
 from repro.er.matching import ThresholdMatcher
-from repro.mapreduce.job import JobConfig
+from repro.er.similarity import levenshtein_similarity_bounded
+from repro.mapreduce.job import JobConfig, TaskContext
 from repro.mapreduce.runtime import execute_reduce_task
 from repro.mapreduce.types import KeyValue, make_partitions
 
@@ -34,12 +40,18 @@ NUM_MAP = 3
 NUM_REDUCE = 2  # few reduce tasks, many blocks: many groups per task
 
 
+def _bounded(a, b):
+    return levenshtein_similarity_bounded(a, b, 0.8)
+
+
 class CountingMatcher(ThresholdMatcher):
     """Records the spec of every ``match_batch`` call; overrides nothing
-    the prepared fast path looks at, so the batch kernel stays active."""
+    the prepared fast path looks at, so the batch kernel stays active —
+    unless ``per_pair``: a ``similarity_fn`` sends every pair through
+    ``match``, the per-pair reference."""
 
-    def __init__(self):
-        super().__init__("title", 0.8)
+    def __init__(self, per_pair=False):
+        super().__init__("title", 0.8, _bounded if per_pair else None)
         self.batches: list = []
 
     def match_batch(self, prepared, pairs):
@@ -54,20 +66,15 @@ def entities():
     return generate_products(300, seed=131, num_blocks=60)
 
 
-def _pipeline(strategy, matcher, batch):
-    return ERPipeline(
+def _run(strategy, entities, *, per_pair=False, mode):
+    matcher = CountingMatcher(per_pair)
+    pipeline = ERPipeline(
         strategy,
         PrefixBlocking("title"),
         matcher,
         num_map_tasks=NUM_MAP,
         num_reduce_tasks=NUM_REDUCE,
-        batch_kernel=batch,
     )
-
-
-def _run(strategy, entities, *, batch, mode):
-    matcher = CountingMatcher()
-    pipeline = _pipeline(strategy, matcher, batch)
     if mode == "dual":
         half = len(entities) // 2
         result = pipeline.run(entities[:half], entities[half:])
@@ -101,9 +108,9 @@ CASES = (
 class TestTaskWithManySmallGroups:
     @pytest.mark.parametrize("strategy,mode", CASES)
     def test_same_task_results_one_call_per_task(self, entities, strategy, mode):
-        batched, matcher = _run(strategy, entities, batch=True, mode=mode)
-        scalar, _ = _run(strategy, entities, batch=False, mode=mode)
-        assert _tasks(batched) == _tasks(scalar)
+        batched, matcher = _run(strategy, entities, mode=mode)
+        per_pair, _ = _run(strategy, entities, per_pair=True, mode=mode)
+        assert _tasks(batched) == _tasks(per_pair)
         assert batched.matches.pair_ids
         tasks = batched.job2.reduce_tasks
         assert max(task.input_groups for task in tasks) > 5
@@ -122,10 +129,10 @@ class TestTaskWithManySmallGroups:
         """With the limit far below a task's pairs the task flushes many
         times on the way; outputs and counters do not notice."""
         monkeypatch.setattr(match_tasks, "MAX_PENDING_PAIRS", limit)
-        batched, matcher = _run(strategy, entities, batch=True, mode=mode)
+        batched, matcher = _run(strategy, entities, mode=mode)
         monkeypatch.undo()
-        scalar, _ = _run(strategy, entities, batch=False, mode=mode)
-        assert _tasks(batched) == _tasks(scalar)
+        per_pair, _ = _run(strategy, entities, per_pair=True, mode=mode)
+        assert _tasks(batched) == _tasks(per_pair)
         tasks = batched.job2.reduce_tasks
         assert len(matcher.batches) > len(tasks)
         assert sum(spec.count for spec in matcher.batches) == (
@@ -150,27 +157,25 @@ class TestTaskWithManySmallGroups:
             for g in range(groups)
             for k in range(per_group)
         ]
-        results, matchers = _reduce_both(
-            lambda m, batch: BlockSplitJob(bdm, m, 1, batch_kernel=batch), bucket
-        )
-        assert results[True].counters.as_dict() == results[False].counters.as_dict()
-        assert results[True].output == results[False].output
-        counts = [spec.count for spec in matchers[True].batches]
+        results, matchers = _reduce_both(lambda m: BlockSplitJob(bdm, m, 1), bucket)
+        assert results[False].counters.as_dict() == results[True].counters.as_dict()
+        assert results[False].output == results[True].output
+        counts = [spec.count for spec in matchers[False].batches]
         assert len(counts) == 2 and sum(counts) == groups * 8385
         assert counts[0] <= match_tasks.MAX_PENDING_PAIRS < counts[0] + 8385
 
 
 def _reduce_both(make_job, bucket):
-    """The same hand-built bucket through one reduce task of the batched
-    and of the scalar job."""
+    """The same hand-built bucket through one reduce task, scored by the
+    kernel matcher (``[False]``) and by the per-pair matcher (``[True]``)."""
     config = JobConfig(num_map_tasks=2, num_reduce_tasks=1)
     results, matchers = {}, {}
-    for batch in (True, False):
-        matcher = CountingMatcher()
-        results[batch] = execute_reduce_task(
-            make_job(matcher, batch), config, 0, list(bucket)
+    for per_pair in (False, True):
+        matcher = CountingMatcher(per_pair)
+        results[per_pair] = execute_reduce_task(
+            make_job(matcher), config, 0, list(bucket)
         )
-        matchers[batch] = matcher
+        matchers[per_pair] = matcher
     return results, matchers
 
 
@@ -181,36 +186,40 @@ def _near_duplicates(prefix, count):
     ]
 
 
-class TestDirectEmittersFlushFirst:
-    """A group the stable shuffle would never produce — its two runs
-    interleaved — takes the scalar fallback, which emits directly.  It
-    sits in the *middle* of the task: the groups parked before it must
-    be scored and emitted first, the groups after it later, so the
-    output keeps group order."""
+class TestOutOfOrderGroupsFailClosed:
+    """A group the stable shuffle / full-key sort would never produce —
+    its two runs interleaved — raises ``ShuffleOrderError`` naming the
+    job, the group key and the first offending value.  It sits in the
+    *middle* of a task: the groups parked before it die with the task's
+    context (scored by nobody, emitted by nobody), and the same job runs
+    a well-formed task on a fresh context afterwards."""
 
-    def _check(self, make_job, bucket, fallback_pairs):
-        results, matchers = _reduce_both(make_job, bucket)
-        batched, scalar = results[True], results[False]
-        assert batched.output == scalar.output
-        assert batched.counters.as_dict() == scalar.counters.as_dict()
-        assert batched.input_groups == 5
-        # Groups 0–1 flushed ahead of the fallback group, groups 3–4 at
-        # the end of the task; the fallback's pairs went per pair.
-        specs = matchers[True].batches
-        assert [len(spec.specs) for spec in specs] == [2, 2]
-        assert matchers[True].comparisons == matchers[False].comparisons
-        assert matchers[True].comparisons - sum(s.count for s in specs) == (
-            fallback_pairs
+    def _check(self, job, bucket, bad_key, position):
+        config = JobConfig(num_map_tasks=2, num_reduce_tasks=1)
+        with pytest.raises(ShuffleOrderError) as raised:
+            execute_reduce_task(job, config, 0, list(bucket))
+        error = raised.value
+        assert isinstance(error, ValueError)
+        assert (error.job_name, error.key, error.position) == (
+            job.name, bad_key, position
         )
-        # Every group contributes matches, in group order.
-        blocks = [pair.value.id1.split(":b")[1][0] for pair in batched.output]
-        assert blocks == sorted(blocks) and set(blocks) == set("01234")
+        assert job.name in str(error) and repr(bad_key) in str(error)
+        shipped = pickle.loads(pickle.dumps(error))  # as a worker ships it
+        assert (type(shipped), str(shipped)) == (ShuffleOrderError, str(error))
+        # Groups 0–1 were parked, never scored: nothing went out.
+        assert job.matcher.batches == [] and job.matcher.comparisons == 0
 
-    def _self_group(self, key, block):
-        return [
-            KeyValue(key, (entity, 0))
-            for entity in _near_duplicates(f"b{block}", 4)
-        ]
+        # The following well-formed task sees none of them again: every
+        # group once, in group order, as the per-pair matcher has it.
+        well_formed = [kv for kv in bucket if kv.key.block != 2]
+        result = execute_reduce_task(job, config, 0, well_formed)
+        assert [len(spec.specs) for spec in job.matcher.batches] == [4]
+        job.matcher = CountingMatcher(per_pair=True)
+        reference = execute_reduce_task(job, config, 0, well_formed)
+        assert result.output == reference.output
+        assert result.counters.as_dict() == reference.counters.as_dict()
+        blocks = [pair.value.id1.split(":b")[1][0] for pair in result.output]
+        assert blocks == sorted(blocks) and set(blocks) == set("0134")
 
     def test_blocksplit_interleaved_cross_group(self):
         bdm = BlockDistributionMatrix(
@@ -218,43 +227,40 @@ class TestDirectEmittersFlushFirst:
         )
         bucket = []
         for block in (0, 1, 3, 4):
-            bucket += self._self_group(BlockSplitKey(0, block, 0, 0), block)
+            bucket += [
+                KeyValue(BlockSplitKey(0, block, 0, 0), (entity, 0))
+                for entity in _near_duplicates(f"b{block}", 4)
+            ]
         cross = _near_duplicates("b2", 6)
         bucket += [
             KeyValue(BlockSplitKey(0, 2, 1, 0), (entity, k % 2))  # 0,1,0,1,…
             for k, entity in enumerate(cross)
         ]
         self._check(
-            lambda m, batch: BlockSplitJob(bdm, m, 1, batch_kernel=batch),
+            BlockSplitJob(bdm, CountingMatcher(), 1),
             bucket,
-            fallback_pairs=6,  # buffer grows 1,2,3 as the 1s stream past
+            BlockSplitKey(0, 2, 1, 0),
+            position=2,  # partition 0 again after the first 1
         )
 
     def test_delta_blocksplit_interleaved_cross_group(self):
         matrix = BlockDistributionMatrix(
             [f"b{k}" for k in range(5)], [[4, 4] for _ in range(5)]
         )
-        bdm = DeltaBDM(matrix, 1)
-        bucket = []
-        cross = _near_duplicates("b2", 6)
-        bucket += [
+        job = DeltaBlockSplitJob(DeltaBDM(matrix, 1), CountingMatcher(), 1)
+        # Route by hand: every block split, so (k, 1, 1) groups are
+        # sub-block self-joins and (2, 1, 0) is a cross product.
+        job.split_blocks = frozenset(range(5))
+        bucket = [
             KeyValue(BlockSplitKey(0, 2, 1, 0), (entity, k % 2))
-            for k, entity in enumerate(cross)
+            for k, entity in enumerate(_near_duplicates("b2", 6))
         ]
-
-        def make_job(matcher, batch):
-            job = DeltaBlockSplitJob(bdm, matcher, 1, batch_kernel=batch)
-            # Route by hand: every block split, so (k, 1, 1) groups are
-            # sub-block self-joins and (2, 1, 0) is a cross product.
-            job.split_blocks = frozenset(range(5))
-            return job
-
         for block in (0, 1, 3, 4):
             bucket += [
                 KeyValue(BlockSplitKey(0, block, 1, 1), (entity, 1))
                 for entity in _near_duplicates(f"b{block}", 4)
             ]
-        self._check(make_job, bucket, fallback_pairs=6)
+        self._check(job, bucket, BlockSplitKey(0, 2, 1, 0), position=2)
 
     def test_dual_blocksplit_r_after_s(self):
         matrix = BlockDistributionMatrix(
@@ -278,11 +284,24 @@ class TestDirectEmittersFlushFirst:
         # An R after an S: sorted on the full key this cannot happen, so
         # feed the group through a job that groups without sorting.
         bucket += group(2, "RSRS")
+        job = DualBlockSplitJob(bdm, CountingMatcher(), 1)
+        job.packed_projection = None
+        job.sort_key = lambda key: (key.block,)  # stable: keeps R,S,R,S
+        self._check(job, bucket, DualBlockSplitKey(0, 2, 0, 0, "R"), position=2)
 
-        def make_job(matcher, batch):
-            job = DualBlockSplitJob(bdm, matcher, 1, batch_kernel=batch)
-            job.packed_projection = None
-            job.sort_key = lambda key: (key.block,)  # stable: keeps R,S,R,S
-            return job
-
-        self._check(make_job, bucket, fallback_pairs=3)  # S sees 1, then 2 Rs
+    def test_dual_pairrange_r_after_s(self):
+        matrix = BlockDistributionMatrix(["b0"], [[2, 2]])
+        job = DualPairRangeJob(
+            DualSourceBDM(matrix, ["R", "S"]), CountingMatcher(), 1
+        )
+        key = DualPairRangeKey(0, 0, "R", 0)
+        values = [
+            (Entity(e.entity_id, dict(e.attributes), source), k // 2)
+            for k, (e, source) in enumerate(zip(_near_duplicates("b0", 4), "RSRS"))
+        ]
+        context = TaskContext(JobConfig(num_map_tasks=2, num_reduce_tasks=1))
+        with pytest.raises(ShuffleOrderError) as raised:
+            job.reduce(key, values, None, context)
+        error = raised.value
+        assert (error.job_name, error.key, error.position) == (job.name, key, 2)
+        assert context.pending == []

@@ -1,12 +1,15 @@
-"""Batched matching == scalar loops, proven over the whole matrix.
+"""Kernel matcher == per-pair matcher, proven over the whole matrix.
 
-The batch kernel (``PipelineRequest.batch_kernel``, default on) must be
+The batch kernel behind ``ThresholdMatcher.match_batch`` must be
 *unobservable*: for every strategy, executing backend, record-source
 type (including memory-mapped columnar shards), with and without a
 shuffle memory budget, for one-source, two-source and incremental
 (delta) runs, and on both the numpy and the pure-stdlib kernel path,
 the matches (ids *and* scores), all per-task outputs, and every counter
-must equal what the scalar per-pair reduce loops produce.
+must equal what the per-pair matcher produces through the same jobs —
+a ``similarity_fn=`` matcher, which the base ``match_batch`` sends
+through ``match`` once per pair in the order of the paper's streaming
+reduce loops.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from repro.datasets.loaders import save_entities_csv
 from repro.engine import ERPipeline
 from repro.engine.incremental import CorpusState
 from repro.er.blocking import PrefixBlocking
-from repro.er.matching import ThresholdMatcher
+from repro.er.matching import Matcher, ThresholdMatcher
 from repro.io import (
     ColumnarShardSource,
     CsvShardSource,
@@ -35,7 +38,7 @@ from repro.io import (
 )
 from repro.mapreduce.types import make_partitions
 
-from ..test_hotpath_equivalence import _fingerprint
+from ..test_hotpath_equivalence import _fingerprint, _ReferenceSimilarity
 
 ALL_STRATEGIES = sorted(STRATEGIES)
 DUAL_STRATEGIES = [
@@ -52,23 +55,23 @@ BACKENDS = {
 }
 
 
-def _pipeline(strategy, *, batch, backend="serial", memory_budget=None):
+def _pipeline(strategy, *, per_pair=False, backend="serial", memory_budget=None):
     options = BACKENDS.get(backend, {})
+    similarity_fn = _ReferenceSimilarity(THRESHOLD) if per_pair else None
     return ERPipeline(
         strategy,
         PrefixBlocking("title"),
-        ThresholdMatcher("title", THRESHOLD),
+        ThresholdMatcher("title", THRESHOLD, similarity_fn),
         num_map_tasks=NUM_SHARDS,
         num_reduce_tasks=NUM_REDUCE,
         memory_budget=memory_budget,
-        batch_kernel=batch,
     ).with_backend(backend, **options)
 
 
-def _run(strategy, *, batch, backend="serial", memory_budget=None,
+def _run(strategy, *, per_pair=False, backend="serial", memory_budget=None,
          source=None, entities=None, dual=False):
     pipeline = _pipeline(
-        strategy, batch=batch, backend=backend, memory_budget=memory_budget
+        strategy, per_pair=per_pair, backend=backend, memory_budget=memory_budget
     )
     if dual:
         half = len(entities) // 2
@@ -99,26 +102,25 @@ class TestBackendBudgetMatrix:
     @pytest.mark.parametrize("backend", ["serial", "parallel"])
     @pytest.mark.parametrize("memory_budget", [None, 64])
     def test_local_backends(self, entities, strategy, backend, memory_budget):
-        batched = _run(strategy, batch=True, backend=backend,
+        batched = _run(strategy, backend=backend,
                        memory_budget=memory_budget, entities=entities)
-        scalar = _run(strategy, batch=False, backend=backend,
+        per_pair = _run(strategy, per_pair=True, backend=backend,
                       memory_budget=memory_budget, entities=entities)
-        assert _fingerprint(batched) == _fingerprint(scalar)
+        assert _fingerprint(batched) == _fingerprint(per_pair)
         assert batched.matches.pair_ids  # non-degenerate workload
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_distributed_backend(self, entities, strategy):
-        """The flag rides inside the pickled job to worker processes."""
-        batched = _run(strategy, batch=True, backend="distributed",
-                       entities=entities)
-        scalar = _run(strategy, batch=False, backend="distributed",
+        """The matcher rides inside the pickled job to worker processes."""
+        batched = _run(strategy, backend="distributed", entities=entities)
+        per_pair = _run(strategy, per_pair=True, backend="distributed",
                       entities=entities)
-        assert _fingerprint(batched) == _fingerprint(scalar)
+        assert _fingerprint(batched) == _fingerprint(per_pair)
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
-    def test_planned_backend_ignores_flag(self, entities, strategy):
-        on = _run(strategy, batch=True, backend="planned", entities=entities)
-        off = _run(strategy, batch=False, backend="planned", entities=entities)
+    def test_planned_backend_ignores_matcher(self, entities, strategy):
+        on = _run(strategy, backend="planned", entities=entities)
+        off = _run(strategy, per_pair=True, backend="planned", entities=entities)
         assert on.plan == off.plan
         assert on.reduce_comparisons() == off.reduce_comparisons()
 
@@ -142,45 +144,46 @@ class TestRecordSourceMatrix:
     def test_all_sources(self, entities, csv_path, columnar_dir, strategy,
                          source_kind):
         make = self._sources(entities, csv_path, columnar_dir)[source_kind]
-        batched = _run(strategy, batch=True, source=make(), entities=entities)
-        scalar = _run(strategy, batch=False, source=make(), entities=entities)
-        assert _fingerprint(batched) == _fingerprint(scalar)
+        batched = _run(strategy, source=make(), entities=entities)
+        per_pair = _run(strategy, per_pair=True, source=make(), entities=entities)
+        assert _fingerprint(batched) == _fingerprint(per_pair)
 
     def test_columnar_equals_csv_run(self, entities, csv_path, columnar_dir):
         """Same shard count ⇒ a columnar run is byte-identical to CSV."""
-        via_columnar = _run("blocksplit", batch=True,
+        via_columnar = _run("blocksplit",
                             source=ColumnarShardSource(columnar_dir),
                             entities=entities)
-        via_csv = _run("blocksplit", batch=True,
+        via_csv = _run("blocksplit",
                        source=CsvShardSource(csv_path, num_shards=NUM_SHARDS),
                        entities=entities)
         assert _fingerprint(via_columnar) == _fingerprint(via_csv)
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_columnar_with_budget(self, entities, columnar_dir, strategy):
-        batched = _run(strategy, batch=True, memory_budget=48,
+        batched = _run(strategy, memory_budget=48,
                        source=ColumnarShardSource(columnar_dir),
                        entities=entities)
-        scalar = _run(strategy, batch=False, memory_budget=48,
+        per_pair = _run(strategy, per_pair=True, memory_budget=48,
                       source=ColumnarShardSource(columnar_dir),
                       entities=entities)
-        assert _fingerprint(batched) == _fingerprint(scalar)
+        assert _fingerprint(batched) == _fingerprint(per_pair)
 
 
 class TestTwoSourceAndDelta:
     @pytest.mark.parametrize("strategy", DUAL_STRATEGIES)
     @pytest.mark.parametrize("memory_budget", [None, 64])
     def test_two_source(self, entities, strategy, memory_budget):
-        batched = _run(strategy, batch=True, memory_budget=memory_budget,
+        batched = _run(strategy, memory_budget=memory_budget,
                        entities=entities, dual=True)
-        scalar = _run(strategy, batch=False, memory_budget=memory_budget,
+        per_pair = _run(strategy, per_pair=True, memory_budget=memory_budget,
                       entities=entities, dual=True)
-        assert _fingerprint(batched) == _fingerprint(scalar)
+        assert _fingerprint(batched) == _fingerprint(per_pair)
         assert batched.matches.pair_ids
 
-    def _delta_result(self, entities, strategy, *, batch, backend="serial"):
+    def _delta_result(self, entities, strategy, *, per_pair=False,
+                      backend="serial"):
         old, new = entities[:100], entities[100:]
-        pipeline = _pipeline(strategy, batch=batch, backend=backend)
+        pipeline = _pipeline(strategy, per_pair=per_pair, backend=backend)
         old_partitions = make_partitions(old, NUM_SHARDS)
         state = CorpusState.empty().advanced(
             pipeline.run(old_partitions), old_partitions, pipeline.blocking
@@ -189,58 +192,63 @@ class TestTwoSourceAndDelta:
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_delta(self, entities, strategy):
-        batched = self._delta_result(entities, strategy, batch=True)
-        scalar = self._delta_result(entities, strategy, batch=False)
-        assert _fingerprint(batched) == _fingerprint(scalar)
+        batched = self._delta_result(entities, strategy)
+        per_pair = self._delta_result(entities, strategy, per_pair=True)
+        assert _fingerprint(batched) == _fingerprint(per_pair)
 
     def test_delta_distributed(self, entities):
-        batched = self._delta_result(
-            entities, "blocksplit", batch=True, backend="distributed"
+        batched = self._delta_result(entities, "blocksplit", backend="distributed")
+        per_pair = self._delta_result(
+            entities, "blocksplit", per_pair=True, backend="distributed"
         )
-        scalar = self._delta_result(
-            entities, "blocksplit", batch=False, backend="distributed"
-        )
-        assert _fingerprint(batched) == _fingerprint(scalar)
+        assert _fingerprint(batched) == _fingerprint(per_pair)
+
+
+class _MemoPerPairMatcher(ThresholdMatcher):
+    """Every pair of a batch through ``match_prepared`` — the memo's path."""
+
+    def match_batch(self, prepared, pairs):
+        return Matcher.match_batch(self, prepared, pairs)
 
 
 class TestSmallMemo:
     """Pipeline level, whatever the memo bound (ISSUE 10's inputs, where
     a group has more distinct surviving pairs than ``memoize``): the
-    batched run equals the scalar run in matches, scores, per-task
-    outputs and job counters, and — the memo being the scalar path's
-    alone — leaves the matcher's ``_cache`` and cache counters exactly
-    as it found them, while the scalar run does use them."""
+    kernel run equals the ``match_prepared`` run in matches, scores,
+    per-task outputs and job counters, and — the memo being
+    ``match_prepared``'s alone — leaves the matcher's ``_cache`` and
+    cache counters exactly as it found them, while the per-pair run does
+    use them."""
 
-    def _run_small_memo(self, entities, *, batch, memoize):
+    def _run_small_memo(self, entities, matcher_class, memoize):
         pipeline = ERPipeline(
             "blocksplit",
             PrefixBlocking("title"),
-            ThresholdMatcher("title", THRESHOLD, memoize=memoize),
+            matcher_class("title", THRESHOLD, memoize=memoize),
             num_map_tasks=NUM_SHARDS,
             num_reduce_tasks=NUM_REDUCE,
-            batch_kernel=batch,
         )
         return pipeline.run(entities), pipeline.matcher
 
     def _check(self, entities, memoize):
         batched, batch_matcher = self._run_small_memo(
-            entities, batch=True, memoize=memoize
+            entities, ThresholdMatcher, memoize
         )
-        scalar, scalar_matcher = self._run_small_memo(
-            entities, batch=False, memoize=memoize
+        per_pair, memo_matcher = self._run_small_memo(
+            entities, _MemoPerPairMatcher, memoize
         )
-        assert _fingerprint(batched) == _fingerprint(scalar)
+        assert _fingerprint(batched) == _fingerprint(per_pair)
         assert batched.matches.pair_ids
         assert (batch_matcher.comparisons, batch_matcher.matches_found) == (
-            scalar_matcher.comparisons, scalar_matcher.matches_found
+            memo_matcher.comparisons, memo_matcher.matches_found
         )
         assert batch_matcher._cache == {}
         assert (batch_matcher.cache_hits, batch_matcher.cache_misses) == (0, 0)
-        assert scalar_matcher.cache_misses > 0
-        assert len(scalar_matcher._cache) <= memoize
+        assert memo_matcher.cache_misses > 0
+        assert len(memo_matcher._cache) <= memoize
 
     @pytest.mark.parametrize("memoize", [0, 1, 2, 3, 4096])
-    def test_small_memo_matches_scalar(self, entities, memoize):
+    def test_small_memo_matches_per_pair(self, entities, memoize):
         self._check(entities, memoize)
 
     @pytest.mark.parametrize("memoize", [0, 1, 2, 3, 4096])
@@ -258,7 +266,7 @@ class TestForcedStdlibEnv:
 from repro.datasets.generators import generate_products
 from repro.engine import ERPipeline
 from repro.er.blocking import PrefixBlocking
-from repro.er.matching import ThresholdMatcher
+from repro.er.matching import Matcher, ThresholdMatcher
 
 entities = generate_products(150, seed=97)
 pipeline = ERPipeline(
@@ -267,7 +275,6 @@ pipeline = ERPipeline(
     ThresholdMatcher("title", 0.8),
     num_map_tasks=3,
     num_reduce_tasks=5,
-    batch_kernel=True,
 )
 result = pipeline.run(entities)
 for pair in sorted(result.matches.pair_ids):
@@ -305,15 +312,14 @@ class TestStdlibFallback:
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     @pytest.mark.parametrize("backend", ["serial", "parallel"])
-    def test_stdlib_matches_scalar(self, entities, strategy, backend):
-        batched = _run(strategy, batch=True, backend=backend,
-                       entities=entities)
-        scalar = _run(strategy, batch=False, backend=backend,
+    def test_stdlib_matches_per_pair(self, entities, strategy, backend):
+        batched = _run(strategy, backend=backend, entities=entities)
+        per_pair = _run(strategy, per_pair=True, backend=backend,
                       entities=entities)
-        assert _fingerprint(batched) == _fingerprint(scalar)
+        assert _fingerprint(batched) == _fingerprint(per_pair)
 
     @pytest.mark.parametrize("strategy", DUAL_STRATEGIES)
     def test_stdlib_two_source(self, entities, strategy):
-        batched = _run(strategy, batch=True, entities=entities, dual=True)
-        scalar = _run(strategy, batch=False, entities=entities, dual=True)
-        assert _fingerprint(batched) == _fingerprint(scalar)
+        batched = _run(strategy, entities=entities, dual=True)
+        per_pair = _run(strategy, per_pair=True, entities=entities, dual=True)
+        assert _fingerprint(batched) == _fingerprint(per_pair)

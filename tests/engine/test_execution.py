@@ -20,6 +20,8 @@ from repro.er.blocking import PrefixBlocking
 from repro.er.matching import AlwaysMatcher, Matcher, ThresholdMatcher
 from repro.mapreduce.events import EventKind
 
+from .test_batch_equivalence import _MemoPerPairMatcher
+
 ALL_STRATEGIES = ["basic", "blocksplit", "pairrange"]
 DUAL_STRATEGIES = ["blocksplit", "pairrange"]
 EXECUTING_BACKENDS = {
@@ -287,16 +289,15 @@ class TestMatcherSnapshots:
         # must be part of the submit-time snapshot like the comparison
         # counters — otherwise a matcher reused across runs reports
         # cache numbers leaked from the previous run.
-        # The memo and its counters belong to the per-pair path, so
-        # that is the path this runs on (batch_kernel=False).
+        # The memo and its counters belong to `match_prepared`, so the
+        # matcher here sends every pair of a batch through it.
         entities = generate_products(150, seed=38)
         pipeline = ERPipeline(
             "blocksplit",
             PrefixBlocking("title"),
-            ThresholdMatcher("title", 0.8),
+            _MemoPerPairMatcher("title", 0.8),
             num_map_tasks=3,
             num_reduce_tasks=5,
-            batch_kernel=False,
         )
         first = pipeline.submit(entities)
         first.result()
@@ -321,8 +322,8 @@ class TestMatcherSnapshots:
         assert second_stats.cache_misses < matcher.cache_misses
 
     def test_batch_kernel_runs_report_no_cache_traffic(self):
-        # The default (batched) reduce path never consults the memo:
-        # same matches as the per-pair path, 0 hits / 0 misses.
+        # `ThresholdMatcher.match_batch` never consults the memo:
+        # 0 hits / 0 misses.
         entities = generate_products(150, seed=38)
         execution = _pipeline("blocksplit").submit(entities)
         result = execution.result()

@@ -9,6 +9,13 @@ emit exactly the pairs (same order, same `comparisons` and
 `matches_found`) the scalar `match_prepared` loop emits, while leaving
 the matcher's verdict memo and its two cache counters alone: those
 belong to the scalar path.
+
+The matching jobs have no pair loop of their own any more — a reduce
+group *is* its pair spec — so `TestPairSpecs` (`iter_pairs` ≡
+`index_arrays` ≡ `pair_at` for all four specs, in the buffer-then-stream
+order of Algorithm 1 lines 56–65 / Algorithm 2) together with the
+`RecordingMatcher` coverage tests against `brute_force_pairs`
+(`tests/core`) is what ties the specs to the paper's loops.
 """
 
 from __future__ import annotations
@@ -103,16 +110,20 @@ class TestPairSpecs:
         spec = TrianglePairs(n)
         assert spec.count == n * (n - 1) // 2
         self._check(spec)
-        for i, j in spec.iter_pairs():
-            assert 0 <= i < j < n
+        # The paper's streaming self-join: each arrival against the buffer.
+        assert list(spec.iter_pairs()) == [
+            (i, j) for j in range(n) for i in range(j)
+        ]
 
     @pytest.mark.parametrize("split,total", [(0, 0), (0, 5), (5, 5), (2, 7), (4, 9)])
     def test_cross(self, split, total):
         spec = CrossPairs(split, total)
         assert spec.count == split * (total - split)
         self._check(spec)
-        for i, j in spec.iter_pairs():
-            assert 0 <= i < split <= j < total
+        # Buffered run first, then each streamed value against all of it.
+        assert list(spec.iter_pairs()) == [
+            (i, j) for j in range(split, total) for i in range(split)
+        ]
 
     def test_spans(self):
         spec = SpanPairs([(3, 0, 2), (5, 1, 4), (8, 0, 1)])

