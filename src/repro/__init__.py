@@ -138,7 +138,7 @@ from .mapreduce import (
     make_partitions,
 )
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "SimulatedRun",

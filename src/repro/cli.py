@@ -443,16 +443,12 @@ def _run_on_server(args: argparse.Namespace, submit):
     malformed address, a missing token, an unreachable server or a
     rejected submission on stderr — the caller exits with code 2.
     """
-    from .serve.client import (
-        ServeClient,
-        ServeConnectionError,
-        SubmissionRejected,
-    )
+    from .serve.client import ServeClient, SubmissionRejected
 
     host, _, port_text = args.server.rpartition(":")
     if not host or not port_text.isdigit():
-        print(f"error: --server must be HOST:PORT, got {args.server!r}",
-              file=sys.stderr)
+        print(f"repro-er {args.command}: error: --server must be HOST:PORT, "
+              f"got {args.server!r}", file=sys.stderr)
         return None
     entities = _load_entities(args, args.input)
     on_event = _progress_printer(sys.stderr) if args.progress else None
@@ -463,9 +459,10 @@ def _run_on_server(args: argparse.Namespace, submit):
             execution = submit(client, _pipeline(args, remote=True), entities)
             count = _stream_matches(execution.iter_matches(), args.output)
             return len(entities), execution.result(), count
-    # ValueError: no token available.
-    except (ValueError, ServeConnectionError, SubmissionRejected) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # ValueError: no token available.  ConnectionError: the server is
+    # unreachable or went away (TransportError, ServeConnectionError).
+    except (ValueError, ConnectionError, SubmissionRejected) as exc:
+        print(f"repro-er {args.command}: error: {exc}", file=sys.stderr)
         return None
 
 
@@ -496,12 +493,17 @@ def _columnar_source(path: str, command: str, *, source: str | None = None):
 
 def _load_entities(args: argparse.Namespace, path: str, *, source: str | None = None):
     """Materialize one entity input honouring --input-format
-    (``memory`` = CSV, ``columnar`` = packed dataset directory)."""
+    (``memory`` = CSV, ``columnar`` = packed dataset directory).  A
+    malformed CSV (say, no ``_id`` column) exits 2 with one line."""
     if getattr(args, "input_format", "memory") == "columnar":
         return list(
             _columnar_source(path, args.command, source=source).iter_records()
         )
-    return load_entities_csv(path, source=source)
+    try:
+        return load_entities_csv(path, source=source)
+    except ValueError as exc:
+        print(f"repro-er {args.command}: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def cmd_pack(args: argparse.Namespace) -> int:
@@ -570,7 +572,7 @@ def cmd_dedup(args: argparse.Namespace) -> int:
             f"({record_input.num_shards} columnar shards)"
         )
     else:
-        record_input = load_entities_csv(args.input)
+        record_input = _load_entities(args, args.input)
         num_entities = len(record_input)
         input_note = f"{num_entities} entities"
     if args.allow_missing_keys or args.save_state is not None:
@@ -793,7 +795,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         # whole skew profile (and strategy planning) derives from.
         bdm = source.block_statistics(blocking).to_bdm()
     else:
-        entities = load_entities_csv(args.input)
+        entities = _load_entities(args, args.input)
         bdm = analytic_bdm(make_partitions(entities, args.map_tasks), blocking)
     stats = bdm_statistics(bdm)
     rows = [[name, round(value, 4)] for name, value in stats.as_dict().items()]

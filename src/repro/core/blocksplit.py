@@ -16,7 +16,7 @@ from ..er.blocking import BlockKey
 from ..er.entity import Entity
 from ..er.matching import Matcher
 from ..mapreduce.job import TaskContext
-from ..mapreduce.types import KeyCodec, PackedProjection, packed_keys_enabled
+from ..mapreduce.types import KeyCodec, PackedProjection
 from .bdm import BlockDistributionMatrix
 from .keys import BlockSplitKey
 from .match_tasks import (
@@ -58,17 +58,16 @@ class BlockSplitJob(BatchedMatchJob):
         # The paper computes this in every map task's configure(); the
         # computation is deterministic, so hoisting it is equivalent.
         self.assignment: MatchTaskAssignment = plan_block_split(bdm, num_reduce_tasks)
-        if packed_keys_enabled():
-            codec = KeyCodec(
-                max(1, num_reduce_tasks),
-                max(1, bdm.num_blocks),
-                max(1, bdm.num_partitions),
-                max(1, bdm.num_partitions),
-            )
-            # Full-key sort and grouping (the packed form is bijective,
-            # so the groups are identical); the base-class sort_key /
-            # group_key read this projection.
-            self.packed_projection = PackedProjection.full_key(codec)
+        codec = KeyCodec(
+            max(1, num_reduce_tasks),
+            max(1, bdm.num_blocks),
+            max(1, bdm.num_partitions),
+            max(1, bdm.num_partitions),
+        )
+        # Full-key sort and grouping (the packed form is bijective,
+        # so the groups are identical); the base-class sort_key /
+        # group_key read this projection.
+        self.packed_projection = PackedProjection.full_key(codec)
 
     # -- map phase ---------------------------------------------------------
 

@@ -9,14 +9,14 @@ index and evaluates exactly those pairs falling into its own range.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Sequence
 
 from ..er.batch_kernel import SpanPairs
 from ..er.blocking import BlockKey
 from ..er.entity import Entity
 from ..er.matching import Matcher
 from ..mapreduce.job import TaskContext
-from ..mapreduce.types import KeyCodec, PackedProjection, packed_keys_enabled
+from ..mapreduce.types import KeyCodec, PackedProjection
 from .bdm import BlockDistributionMatrix
 from .enumeration import PairEnumeration, PairRangeSpec, sorted_run_bounds
 from .keys import PairRangeKey
@@ -57,15 +57,14 @@ class PairRangeJob(BatchedMatchJob):
         self.num_reduce_tasks = num_reduce_tasks
         self.enumeration = PairEnumeration(bdm.block_sizes())
         self.spec = PairRangeSpec(self.enumeration.total_pairs, num_reduce_tasks)
-        if packed_keys_enabled():
-            sizes = self.enumeration.block_sizes
-            codec = KeyCodec(
-                max(1, num_reduce_tasks),
-                max(1, bdm.num_blocks),
-                max(1, max(sizes, default=1)),
-            )
-            # Grouped on (range_index, block) — the first two sort fields.
-            self.packed_projection = PackedProjection.prefix(codec, 2)
+        sizes = self.enumeration.block_sizes
+        codec = KeyCodec(
+            max(1, num_reduce_tasks),
+            max(1, bdm.num_blocks),
+            max(1, max(sizes, default=1)),
+        )
+        # Grouped on (range_index, block) — the first two sort fields.
+        self.packed_projection = PackedProjection.prefix(codec, 2)
 
     # -- map phase ---------------------------------------------------------
 
@@ -89,11 +88,6 @@ class PairRangeJob(BatchedMatchJob):
 
     def partition(self, key: PairRangeKey, num_reduce_tasks: int) -> int:
         return key.range_index
-
-    def group_key(self, key: PairRangeKey) -> Any:
-        if self.packed_projection is not None:
-            return super().group_key(key)
-        return (key.range_index, key.block)
 
     # -- reduce phase ----------------------------------------------------------
 

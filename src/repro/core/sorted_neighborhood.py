@@ -13,11 +13,12 @@ MR realisation (the JobSN scheme):
 
 1. a cheap pre-pass computes the global sort order's r-quantile
    boundaries (and the partition offsets);
-2. the SN job range-partitions entities by sorting key, each reduce
-   task slides the window over its sorted run, and additionally emits
-   its first/last ``w−1`` entities as tagged *boundary* records;
-3. a tiny driver pass compares boundary records of adjacent partitions
-   (pairs at global sort distance < w that straddle a partition cut).
+2. the SN job range-partitions entities by sorting key, and each reduce
+   task scores every pair of its sorted run at rank distance < ``w`` —
+   one band pair spec, one ``match_batch`` call;
+3. a tiny driver pass scores the pairs at global rank distance < ``w``
+   that straddle a partition cut, again as one spec in one
+   ``match_batch`` call.
 
 Implemented here for completeness of the paper's design space and used
 by ``benchmarks/bench_sorted_neighborhood.py`` to contrast SN's
@@ -30,12 +31,14 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
+from ..er.batch_kernel import SpanPairs
 from ..er.entity import Entity
 from ..er.matching import Matcher, MatchResult
-from ..mapreduce.counters import StandardCounter, flush_pair_counters
-from ..mapreduce.job import MapReduceJob, TaskContext
+from ..mapreduce.counters import StandardCounter
+from ..mapreduce.job import TaskContext
 from ..mapreduce.runtime import JobResult, LocalRuntime
-from ..mapreduce.types import Partition, make_partitions
+from ..mapreduce.types import make_partitions
+from .match_tasks import BatchedMatchJob, run_batched_group
 
 SortKeyFn = Callable[[Entity], Any]
 
@@ -95,7 +98,7 @@ def compute_sn_plan(
     return SnPlan(tuple(boundaries), tuple(offsets), total)
 
 
-class SortedNeighborhoodJob(MapReduceJob):
+class SortedNeighborhoodJob(BatchedMatchJob):
     """The SN matching job.
 
     map
@@ -104,10 +107,10 @@ class SortedNeighborhoodJob(MapReduceJob):
     partition
         range partitioning against the pre-pass boundaries.
     reduce
-        slides the window over its sorted run, emitting
-        ``("match", pair)`` records; the first/last ``w−1`` entities are
-        re-emitted as ``("boundary", (global rank, reduce index,
-        entity))`` records for the driver's stitching pass.
+        prepares each entity of the task's sorted run; ``finish_reduce``
+        then scores the run's window band — entity ``j`` against the
+        ``w−1`` entities before it, the sliding window's exact pair
+        order — in one ``match_batch`` call and emits the matches.
     """
 
     name = "sorted-neighborhood"
@@ -136,37 +139,21 @@ class SortedNeighborhoodJob(MapReduceJob):
         # hence bisect_right.
         return bisect_right(self.plan.boundaries, key)
 
+    def configure_reduce(self, context: TaskContext) -> None:
+        context.sn_run = []  # type: ignore[attr-defined]
+
     def reduce(self, key: tuple, values: Sequence[Entity], emit, context) -> None:
         # Grouping on the full composite key gives one call per entity;
-        # buffer the window in the context across calls.  The window
-        # holds prepared entities so attribute extraction runs once per
-        # entity, not once per window pair.
-        state = getattr(context, "sn_state", None)
-        if state is None:
-            state = {"window": [], "run": []}
-            context.sn_state = state  # type: ignore[attr-defined]
-        matcher = self.matcher
-        prepare = matcher.prepare
-        match_prepared = matcher.match_prepared
-        window = state["window"]
-        comparisons = 0
-        matched = 0
-        for entity in values:
-            prepared = prepare(entity)
-            for other in window:
-                pair = match_prepared(other, prepared)
-                if pair is not None:
-                    matched += 1
-                    emit(None, ("match", pair))
-            comparisons += len(window)
-            window.append(prepared)
-            if len(window) > self.window - 1:
-                window.pop(0)
-            state["run"].append(entity)
-        flush_pair_counters(context, comparisons, matched)
+        # the task's sorted run builds up in the context across calls.
+        prepare = self.matcher.prepare
+        context.sn_run.extend(prepare(entity) for entity in values)
 
-    def configure_reduce(self, context: TaskContext) -> None:
-        context.sn_state = None  # type: ignore[attr-defined]
+    def finish_reduce(self, emit, context: TaskContext) -> None:
+        run = context.sn_run  # type: ignore[attr-defined]
+        w = self.window
+        band = SpanPairs([(j, max(0, j - w + 1), j) for j in range(1, len(run))])
+        run_batched_group(self.matcher, run, band, emit, context)
+        super().finish_reduce(emit, context)
 
 
 def sorted_neighborhood(
@@ -191,45 +178,33 @@ def sorted_neighborhood(
 
     matches = MatchResult()
     for record in result.output:
-        tag, payload = record.value
-        if tag == "match":
-            matches.add(payload)
+        matches.add(record.value)
     reduce_comparisons = tuple(
         task.counters.get(StandardCounter.PAIR_COMPARISONS)
         for task in result.reduce_tasks
     )
 
-    # Driver stitching pass: compare pairs that straddle partition cuts.
+    # Driver stitching pass: entity j of the global order against the
+    # window entities before the first rank of j's own partition, i.e.
+    # exactly the window pairs no reduce task saw.
     ordered = sorted(entities, key=lambda e: (sort_key(e), e.qualified_id))
-    cut_ranks = list(plan.offsets[1:])
-    partition_of_rank = []
-    next_cut = 0
-    for rank in range(len(ordered)):
-        while next_cut < len(cut_ranks) and rank >= cut_ranks[next_cut]:
-            next_cut += 1
-        partition_of_rank.append(next_cut)
-    boundary_comparisons = 0
-    compared: set[tuple[int, int]] = set()
-    for cut in cut_ranks:
-        lo = max(0, cut - (window - 1))
-        hi = min(len(ordered), cut + (window - 1))
-        for i in range(lo, cut):
-            for j in range(cut, min(hi, i + window)):
-                if partition_of_rank[i] == partition_of_rank[j]:
-                    continue  # same run: already compared in reduce
-                if (i, j) in compared:
-                    continue  # windows of two nearby cuts overlap
-                compared.add((i, j))
-                boundary_comparisons += 1
-                pair = matcher.match(ordered[i], ordered[j])
-                if pair is not None:
-                    matches.add(pair)
+    offsets = plan.offsets
+    spans = []
+    for j in range(1, len(ordered)):
+        start = max(0, j - window + 1)
+        stop = offsets[bisect_right(offsets, j) - 1]
+        if start < stop:
+            spans.append((j, start, stop))
+    stitch = SpanPairs(spans)
+    prepare = matcher.prepare
+    for pair in matcher.match_batch([prepare(e) for e in ordered], stitch):
+        matches.add(pair)
 
     return SnResult(
         matches=matches,
         window=window,
-        comparisons=sum(reduce_comparisons) + boundary_comparisons,
-        boundary_comparisons=boundary_comparisons,
+        comparisons=sum(reduce_comparisons) + stitch.count,
+        boundary_comparisons=stitch.count,
         reduce_comparisons=reduce_comparisons,
         job=result,
     )

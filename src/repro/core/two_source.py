@@ -18,19 +18,8 @@ from ..er.entity import Entity
 from ..er.matching import Matcher
 from ..mapreduce.job import TaskContext
 from ..mapreduce.runtime import JobResult, LocalRuntime
-from ..mapreduce.types import (
-    KeyCodec,
-    PackedProjection,
-    Partition,
-    packed_keys_enabled,
-)
-from .bdm import (
-    ANNOTATED_DIR,
-    BdmJob,
-    BlockDistributionMatrix,
-    analytic_bdm,
-    compute_bdm,
-)
+from ..mapreduce.types import KeyCodec, PackedProjection, Partition
+from .bdm import BlockDistributionMatrix, analytic_bdm, compute_bdm
 from ..er.batch_kernel import CrossPairs, SpanPairs
 from .enumeration import DualPairEnumeration, PairRangeSpec, sorted_run_bounds
 from .keys import DualBlockSplitKey, DualPairRangeKey
@@ -286,18 +275,17 @@ class DualBlockSplitJob(BatchedMatchJob):
         self.reduce_comparisons = tuple(loads)
         self.split_blocks = split_blocks
         self.threshold = threshold
-        if packed_keys_enabled():
-            m = max(1, bdm.num_partitions)
-            codec = KeyCodec(
-                max(1, num_reduce_tasks),
-                max(1, bdm.num_blocks),
-                m,
-                m,
-                2,
-                field_maps={4: _SOURCE_RANKS},
-            )
-            # Grouped on (block, i, j) — the mid-span of the sort fields.
-            self.packed_projection = PackedProjection.span(codec, 1, 4)
+        m = max(1, bdm.num_partitions)
+        codec = KeyCodec(
+            max(1, num_reduce_tasks),
+            max(1, bdm.num_blocks),
+            m,
+            m,
+            2,
+            field_maps={4: _SOURCE_RANKS},
+        )
+        # Grouped on (block, i, j) — the mid-span of the sort fields.
+        self.packed_projection = PackedProjection.span(codec, 1, 4)
 
     # -- map phase ---------------------------------------------------------
 
@@ -324,11 +312,6 @@ class DualBlockSplitJob(BatchedMatchJob):
 
     def partition(self, key: DualBlockSplitKey, num_reduce_tasks: int) -> int:
         return key.reduce_index
-
-    def group_key(self, key: DualBlockSplitKey) -> Any:
-        if self.packed_projection is not None:
-            return super().group_key(key)
-        return (key.block, key.i, key.j)
 
     # -- reduce phase ----------------------------------------------------------
 
@@ -377,20 +360,19 @@ class DualPairRangeJob(BatchedMatchJob):
         self.num_reduce_tasks = num_reduce_tasks
         self.enumeration = DualPairEnumeration(bdm.dual_block_sizes())
         self.spec = PairRangeSpec(self.enumeration.total_pairs, num_reduce_tasks)
-        if packed_keys_enabled():
-            max_index = max(
-                (max(r, s) for r, s in self.enumeration.block_sizes),
-                default=1,
-            )
-            codec = KeyCodec(
-                max(1, num_reduce_tasks),
-                max(1, bdm.num_blocks),
-                2,
-                max(1, max_index),
-                field_maps={2: _SOURCE_RANKS},
-            )
-            # Grouped on (range_index, block) — the first two sort fields.
-            self.packed_projection = PackedProjection.prefix(codec, 2)
+        max_index = max(
+            (max(r, s) for r, s in self.enumeration.block_sizes),
+            default=1,
+        )
+        codec = KeyCodec(
+            max(1, num_reduce_tasks),
+            max(1, bdm.num_blocks),
+            2,
+            max(1, max_index),
+            field_maps={2: _SOURCE_RANKS},
+        )
+        # Grouped on (range_index, block) — the first two sort fields.
+        self.packed_projection = PackedProjection.prefix(codec, 2)
 
     # -- map phase ---------------------------------------------------------
 
@@ -418,11 +400,6 @@ class DualPairRangeJob(BatchedMatchJob):
 
     def partition(self, key: DualPairRangeKey, num_reduce_tasks: int) -> int:
         return key.range_index
-
-    def group_key(self, key: DualPairRangeKey) -> Any:
-        if self.packed_projection is not None:
-            return super().group_key(key)
-        return (key.range_index, key.block)
 
     # -- reduce phase ----------------------------------------------------------
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..er.entity import Entity

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import random
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from ..er.entity import Entity

@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 from typing import Callable, Sequence
 
-from ..er.blocking import BlockingFunction
 from ..er.entity import Entity
 from ..mapreduce.types import Partition, make_partitions
 

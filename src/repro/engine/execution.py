@@ -56,15 +56,9 @@ CANCELLED = "cancelled"
 class MatcherStats:
     """Per-run matcher counter deltas (submit snapshot → completion).
 
-    ``cache_hits``/``cache_misses`` are the
-    :class:`~repro.er.matching.ThresholdMatcher` verdict-memo counters
-    (zero for matchers without a cache); like the comparison counters
-    they are snapshotted at submit time, so a matcher reused across
-    back-to-back runs reports *this* run's cache behaviour, never
-    numbers leaked from a prior run.  The memo belongs to
-    ``match_prepared``: the matching jobs score through ``match_batch``,
-    which never consults it, so a pipeline run reports 0 / 0 — only
-    Sorted Neighborhood's windowed loop moves these two numbers.
+    The counters are snapshotted at submit time, so a matcher reused
+    across back-to-back runs reports *this* run's work, never numbers
+    leaked from a prior run.
 
     With backends that run matching in other processes (the parallel
     process pool, distributed workers), matcher instance state mutates
@@ -76,8 +70,6 @@ class MatcherStats:
 
     comparisons: int
     matches_found: int
-    cache_hits: int = 0
-    cache_misses: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -264,7 +256,7 @@ class PipelineExecution:
         # Snapshot the (cumulative, shared) matcher counters at submit,
         # so matcher_stats() is per-run without resetting the matcher.
         self._matcher_before = self._matcher_counters()
-        self._matcher_after: tuple[int, int, int, int] | None = None
+        self._matcher_after: tuple[int, int] | None = None
         #: The event/cancellation channel of this run.
         self.events = EventChannel([self._observe])
         if on_event is not None:
@@ -299,18 +291,10 @@ class PipelineExecution:
             self._matcher_after = after
             self._cond.notify_all()
 
-    def _matcher_counters(self) -> tuple[int, int, int, int]:
+    def _matcher_counters(self) -> tuple[int, int]:
         if self._matcher is None:
-            return (0, 0, 0, 0)
-        return (
-            self._matcher.comparisons,
-            self._matcher.matches_found,
-            # The verdict-memo stats only exist on ThresholdMatcher;
-            # snapshot them with the rest so matcher_stats() never
-            # reports cache numbers from a previous run.
-            getattr(self._matcher, "cache_hits", 0),
-            getattr(self._matcher, "cache_misses", 0),
-        )
+            return (0, 0)
+        return (self._matcher.comparisons, self._matcher.matches_found)
 
     def _observe(self, event: ExecutionEvent) -> None:
         with self._cond:
@@ -443,8 +427,6 @@ class PipelineExecution:
         return MatcherStats(
             comparisons=current[0] - before[0],
             matches_found=current[1] - before[1],
-            cache_hits=current[2] - before[2],
-            cache_misses=current[3] - before[3],
         )
 
     # -- asyncio bridges ------------------------------------------------------

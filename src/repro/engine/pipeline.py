@@ -85,10 +85,11 @@ class ERPipeline:
         files on disk (:class:`~repro.mapreduce.ExternalShuffle`).
         Matches and counters are byte-identical either way.
 
-    Matching reduce tasks score whole groups through
-    :meth:`~repro.er.matching.Matcher.match_batch` — the columnar batch
-    kernel of :mod:`repro.er.batch_kernel` for the default matcher, one
-    ``match_prepared`` call per pair in the same order for any other.
+    Every matching reduce task scores its pairs in one
+    :meth:`~repro.er.matching.Matcher.match_batch` call — the columnar
+    batch kernel of :mod:`repro.er.batch_kernel` for the default
+    matcher, one ``match_prepared`` call per pair in the same order for
+    any other.
     """
 
     def __init__(
@@ -213,11 +214,12 @@ class ERPipeline:
         (called synchronously on the driver thread, in deterministic
         event order).
 
-        The handle snapshots the matcher's cumulative counters at
-        submit, so back-to-back runs sharing one matcher instance read
-        per-run numbers from ``execution.matcher_stats()`` without a
-        manual ``reset_counters()``; ``self.matcher.comparisons`` keeps
-        the old accumulate-across-runs behaviour.
+        The handle snapshots the matcher's cumulative ``comparisons`` /
+        ``matches_found`` at submit, so back-to-back runs sharing one
+        matcher instance read per-run numbers from
+        ``execution.matcher_stats()`` without a manual
+        ``reset_counters()``; ``self.matcher.comparisons`` keeps the old
+        accumulate-across-runs behaviour.
         """
         request = self.build_request(
             r,

@@ -27,14 +27,10 @@ occurrence or per lane.  Otherwise a
 pure-stdlib loop with the same collapse runs.
 
 Both paths are byte-identical to the scalar kernel in every score:
-each is either ``1.0``/``0.0`` from the same short-circuits the scalar
-matcher applies or the output of the same bounded Myers/banded kernels
-it calls.  The batch is *stateless*: the matcher's LRU verdict memo
-belongs to the scalar path alone (``match_prepared``).  A probe of
-that memo costs about 2.5 µs per pair occurrence and recomputing a lane
-about 1.2 µs, and on the benchmark corpora at most 0.35 % of the
-surviving occurrences hit it, so the batch neither reads nor writes it
-and the matcher's ``cache_hits``/``cache_misses`` do not move here.
+each is either ``1.0``/``0.0`` from the same short-circuits
+:func:`~repro.er.similarity.levenshtein_similarity_bounded` takes or
+the output of the same bounded Myers/banded kernels it calls.  The
+batch is stateless: nothing is remembered between calls.
 numpy stays an *optional* dependency (the ``fast`` extra); set
 ``REPRO_ER_FORCE_STDLIB=1`` to force the fallback with numpy installed.
 """

@@ -11,7 +11,7 @@ simulation (comparisons are the dominant cost).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .batch_kernel import matching_positions, score_pair_batch
@@ -152,9 +152,8 @@ class Matcher:
 class _PreparedEntity(NamedTuple):
     """ThresholdMatcher's per-entity preprocessing: id + interned text.
 
-    Interning the extracted attribute makes the memo-cache tuple keys
-    compare by pointer in the common case and collapses the many
-    duplicate values real blocking produces into one string object.
+    Interning the extracted attribute collapses the many duplicate
+    values real blocking produces into one string object.
     """
 
     qid: str
@@ -169,46 +168,33 @@ class ThresholdMatcher(Matcher):
 
     With the default kernel the matcher takes the prepared fast path:
     the compare attribute is extracted, stringified and interned once
-    per reduce group instead of once per pair, and on the per-pair
-    path (:meth:`match_prepared`) verdicts for repeated value pairs are
-    memoised in an LRU keyed on the interned string pair (``memoize``
-    entries; 0 disables).  A custom ``similarity_fn`` or a subclass
-    override of ``similarity``/``is_match``/``match`` disables the fast
-    path — every pair then goes through :meth:`match`, byte-identical
-    in matches and counters — preserving the override's semantics.
-
-    ``cache_hits``/``cache_misses`` count only the comparisons of the
-    per-pair path that reach the cache+kernel stage; identical values
-    (interned pointer check) and pairs rejected by the length filter
-    bypass both, and :meth:`match_batch` — what the matching jobs
-    call — never touches the memo, so a pipeline run reports 0 / 0.
+    per reduce group instead of once per pair, and :meth:`match_batch`
+    scores a reduce task's pairs in one batch-kernel call.  A custom
+    ``similarity_fn`` or a subclass override of
+    ``similarity``/``is_match``/``match`` disables the fast path —
+    every pair then goes through :meth:`match`, byte-identical in
+    matches and counters — preserving the override's semantics.
     """
+
+    #: Always 0: the verdict memo these counted is gone.  Kept only
+    #: because the layered benchmark (``benchmarks/layered/
+    #: workloads.py``) still sums them into its ``er.cache_*`` metrics;
+    #: they go when those metrics do.
+    cache_hits = 0
+    cache_misses = 0
 
     def __init__(
         self,
         attribute: str = "title",
         threshold: float = 0.8,
         similarity_fn: Callable[[str, str], float] | None = None,
-        *,
-        memoize: int = 4096,
     ):
         super().__init__()
         if not 0.0 <= threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-        if memoize < 0:
-            raise ValueError(f"memoize must be >= 0, got {memoize}")
         self.attribute = attribute
         self.threshold = threshold
         self._similarity_fn = similarity_fn
-        self._memoize = memoize
-        self._cache: dict[tuple[str, str], float] = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
-
-    def reset_counters(self) -> None:
-        super().reset_counters()
-        self.cache_hits = 0
-        self.cache_misses = 0
 
     def similarity(self, e1: Entity, e2: Entity) -> float:
         a = str(e1.get(self.attribute) or "")
@@ -239,48 +225,8 @@ class ThresholdMatcher(Matcher):
         if type(p1) is not _PreparedEntity:
             return self.match(p1, p2)
         self.comparisons += 1
-        a = p1.text
-        b = p2.text
-        threshold = self.threshold
-        if a is b:
-            # Interning makes equal values pointer-identical — the
-            # common case in skewed blocks costs one identity check.
-            score = 1.0
-        else:
-            la = len(a)
-            lb = len(b)
-            if la >= lb:
-                longest, diff = la, la - lb
-            else:
-                longest, diff = lb, lb - la
-            if diff > int((1.0 - threshold) * longest):
-                # Length filter: the edit-distance budget is already
-                # blown, so skip both the cache and the kernel (same
-                # 0.0 the bounded kernel would return).
-                score = 0.0
-            else:
-                key = (a, b) if a <= b else (b, a)
-                cache = self._cache
-                score = cache.pop(key, None)
-                if score is None:
-                    self.cache_misses += 1
-                    score = levenshtein_similarity_bounded(a, b, threshold)
-                else:
-                    self.cache_hits += 1
-                if self._memoize:
-                    if len(cache) >= self._memoize:
-                        # Best-effort eviction of the least-recently-used
-                        # entry.  The thread backend shares this matcher
-                        # across workers, so a concurrent insert/evict may
-                        # beat us to it — cached scores are pure values,
-                        # so losing the race only costs a recompute,
-                        # never correctness.
-                        try:
-                            cache.pop(next(iter(cache)), None)
-                        except (StopIteration, RuntimeError):
-                            pass
-                    cache[key] = score
-        if score >= threshold:
+        score = levenshtein_similarity_bounded(p1.text, p2.text, self.threshold)
+        if score >= self.threshold:
             self.matches_found += 1
             q1 = p1.qid
             q2 = p2.qid
@@ -297,15 +243,10 @@ class ThresholdMatcher(Matcher):
         similarity function, subclass overrides —
         falls back to the base per-pair batching, preserving exact
         semantics.  The kernel scores are byte-identical to
-        :meth:`match_prepared`'s (same short-circuits, same bounded
-        kernels), matches are emitted in spec pair order with the same
-        canonical id ordering, and ``comparisons``/``matches_found``
-        advance by the same totals.  The verdict memo is the scalar
-        path's alone: the batch computes each distinct value pair of
-        its input once and neither reads nor writes ``_cache``, so
-        ``cache_hits``/``cache_misses`` do not move here — the one
-        difference between this and :meth:`match_prepared` per pair
-        (:mod:`repro.er.batch_kernel` has the numbers behind that).
+        :meth:`match_prepared`'s (same bounded kernels), matches are
+        emitted in spec pair order with the same canonical id ordering,
+        and ``comparisons``/``matches_found`` advance by the same
+        totals.
         """
         if pairs.count == 0:
             return []
@@ -328,13 +269,10 @@ class ThresholdMatcher(Matcher):
         return out
 
     def __getstate__(self) -> dict[str, Any]:
-        # The memo cache is a pure accelerator: never ship it to worker
-        # processes (it can hold thousands of entries, the parallel
-        # backend pickles the job once per task submission, and workers
-        # rebuild their own caches as they match).
-        state = self.__dict__.copy()
-        state["_cache"] = {}
-        return state
+        # A copy, not the live ``__dict__`` (what ``object.__getstate__``
+        # returns): the layered benchmark's ``TracedMatcher`` edits the
+        # returned state before pickling it.
+        return self.__dict__.copy()
 
     def __repr__(self) -> str:
         return (

@@ -30,18 +30,12 @@ from .types import (
     Partition,
     ReduceGroup,
     make_partitions,
-    packed_keys,
-    packed_keys_enabled,
-    set_packed_keys,
     shard_bounds,
 )
 
 __all__ = [
     "KeyCodec",
     "PackedProjection",
-    "packed_keys",
-    "packed_keys_enabled",
-    "set_packed_keys",
     "shuffle_bucket",
     "group_presorted_bucket",
     "group_presorted_entries",

@@ -163,9 +163,8 @@ class MapReduceJob:
         """Projection of ``key`` used to form reduce groups.
 
         With a :attr:`packed_projection` this is the shift/mask of the
-        packed sort key; jobs whose *unpacked* group projection is not
-        the full key override this and delegate to ``super()`` for the
-        packed case.
+        packed sort key, so the groups are read off the same ints the
+        shuffle sorts on.
         """
         projection = self.packed_projection
         if projection is None:

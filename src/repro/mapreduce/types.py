@@ -10,7 +10,6 @@ of the sort projection.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Generic, Iterator, Sequence, TypeVar
 
@@ -177,39 +176,6 @@ class PackedProjection:
             )
         shift = sum(codec.widths[stop:])
         return cls(codec, shift, (1 << sum(codec.widths[start:stop])) - 1)
-
-
-#: Process-wide switch for packed-int sort/group projections.  Jobs
-#: capture the flag at construction time (so it survives pickling into
-#: worker processes); flip it around pipeline construction, not after.
-_PACKED_KEYS = True
-
-
-def packed_keys_enabled() -> bool:
-    """Whether strategy jobs built from now on pack their projections."""
-    return _PACKED_KEYS
-
-
-def set_packed_keys(enabled: bool) -> None:
-    """Enable/disable packed-key projections for jobs built afterwards.
-
-    Exists for the equivalence tests, which prove the packed and tuple
-    shuffle paths against each other; production code has no reason to
-    turn this off.
-    """
-    global _PACKED_KEYS
-    _PACKED_KEYS = bool(enabled)
-
-
-@contextmanager
-def packed_keys(enabled: bool) -> Iterator[None]:
-    """Scoped :func:`set_packed_keys` (restores the previous value)."""
-    previous = _PACKED_KEYS
-    set_packed_keys(enabled)
-    try:
-        yield
-    finally:
-        set_packed_keys(previous)
 
 
 @dataclass(frozen=True, slots=True)

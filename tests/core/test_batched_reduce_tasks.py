@@ -287,6 +287,7 @@ class TestOutOfOrderGroupsFailClosed:
         job = DualBlockSplitJob(bdm, CountingMatcher(), 1)
         job.packed_projection = None
         job.sort_key = lambda key: (key.block,)  # stable: keeps R,S,R,S
+        job.group_key = lambda key: (key.block, key.i, key.j)
         self._check(job, bucket, DualBlockSplitKey(0, 2, 0, 0, "R"), position=2)
 
     def test_dual_pairrange_r_after_s(self):

@@ -1,4 +1,4 @@
-"""Sorted Neighborhood: coverage, boundary stitching, balance."""
+"""Sorted Neighborhood: coverage, boundary stitching, balance, scores."""
 
 from __future__ import annotations
 
@@ -12,8 +12,9 @@ from repro.core.sorted_neighborhood import (
     compute_sn_plan,
     sorted_neighborhood,
 )
+from repro.datasets.generators import generate_products
 from repro.er.entity import Entity
-from repro.er.matching import AlwaysMatcher, RecordingMatcher
+from repro.er.matching import AlwaysMatcher, RecordingMatcher, ThresholdMatcher
 
 from ..conftest import random_keyed_entities
 
@@ -97,6 +98,46 @@ class TestCoverage:
             sorted_neighborhood(
                 [titled(0, "a")], sort_key, window=1, matcher=AlwaysMatcher()
             )
+
+
+class TestKernelScores:
+    """SN scores through ``match_batch``: with the default matcher its
+    matches (ids *and* scores) and comparison count equal a per-pair
+    ``match`` over every window pair, on whichever kernel path is
+    active."""
+
+    @pytest.mark.parametrize("window", [2, 5])
+    @pytest.mark.parametrize(
+        "n, r",
+        [
+            (80, 1),  # one run: no stitching
+            (80, 3),
+            (30, 10),  # runs of 3 < w - 1: a window spans several cuts
+            (12, 20),  # r > n: empty and single-entity partitions
+        ],
+    )
+    def test_matches_per_pair_oracle(self, n, r, window):
+        entities = generate_products(n, seed=61)
+        matcher = ThresholdMatcher("title", 0.8)
+        result = sorted_neighborhood(
+            entities, sort_key, window=window, matcher=matcher,
+            num_map_tasks=3, num_reduce_tasks=r,
+        )
+        pairs = sorted(brute_force_sn_pairs(entities, sort_key, window))
+        by_id = {e.qualified_id: e for e in entities}
+        oracle = ThresholdMatcher("title", 0.8)
+        expected = [
+            (p.id1, p.id2, p.similarity)
+            for a, b in pairs
+            if (p := oracle.match(by_id[a], by_id[b])) is not None
+        ]
+        # Non-degenerate: real near-duplicates, not only exact copies.
+        assert any(score < 1.0 for _a, _b, score in expected)
+        assert [(p.id1, p.id2, p.similarity) for p in result.matches] == expected
+        assert result.comparisons == len(pairs) == matcher.comparisons
+        assert matcher.matches_found == len(expected)
+        if r == 1:
+            assert result.boundary_comparisons == 0
 
 
 class TestBalance:

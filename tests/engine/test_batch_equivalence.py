@@ -204,57 +204,52 @@ class TestTwoSourceAndDelta:
         assert _fingerprint(batched) == _fingerprint(per_pair)
 
 
-class _MemoPerPairMatcher(ThresholdMatcher):
-    """Every pair of a batch through ``match_prepared`` — the memo's path."""
+class _PerPairPreparedMatcher(ThresholdMatcher):
+    """Every pair of a batch through ``match_prepared``, one call each."""
 
     def match_batch(self, prepared, pairs):
         return Matcher.match_batch(self, prepared, pairs)
 
 
-class TestSmallMemo:
-    """Pipeline level, whatever the memo bound (ISSUE 10's inputs, where
-    a group has more distinct surviving pairs than ``memoize``): the
-    kernel run equals the ``match_prepared`` run in matches, scores,
-    per-task outputs and job counters, and — the memo being
-    ``match_prepared``'s alone — leaves the matcher's ``_cache`` and
-    cache counters exactly as it found them, while the per-pair run does
-    use them."""
+class TestMatchPreparedPipeline:
+    """Pipeline level: the kernel run equals a run that scores every
+    pair through ``ThresholdMatcher.match_prepared`` — the per-pair
+    oracle — in matches, scores, per-task outputs and job counters, on
+    both kernel paths."""
 
-    def _run_small_memo(self, entities, matcher_class, memoize):
+    def _run_with(self, entities, strategy, matcher_class):
         pipeline = ERPipeline(
-            "blocksplit",
+            strategy,
             PrefixBlocking("title"),
-            matcher_class("title", THRESHOLD, memoize=memoize),
+            matcher_class("title", THRESHOLD),
             num_map_tasks=NUM_SHARDS,
             num_reduce_tasks=NUM_REDUCE,
         )
         return pipeline.run(entities), pipeline.matcher
 
-    def _check(self, entities, memoize):
-        batched, batch_matcher = self._run_small_memo(
-            entities, ThresholdMatcher, memoize
+    def _check(self, entities, strategy):
+        batched, batch_matcher = self._run_with(
+            entities, strategy, ThresholdMatcher
         )
-        per_pair, memo_matcher = self._run_small_memo(
-            entities, _MemoPerPairMatcher, memoize
+        per_pair, oracle = self._run_with(
+            entities, strategy, _PerPairPreparedMatcher
         )
         assert _fingerprint(batched) == _fingerprint(per_pair)
         assert batched.matches.pair_ids
         assert (batch_matcher.comparisons, batch_matcher.matches_found) == (
-            memo_matcher.comparisons, memo_matcher.matches_found
+            oracle.comparisons, oracle.matches_found
         )
-        assert batch_matcher._cache == {}
-        assert (batch_matcher.cache_hits, batch_matcher.cache_misses) == (0, 0)
-        assert memo_matcher.cache_misses > 0
-        assert len(memo_matcher._cache) <= memoize
 
-    @pytest.mark.parametrize("memoize", [0, 1, 2, 3, 4096])
-    def test_small_memo_matches_per_pair(self, entities, memoize):
-        self._check(entities, memoize)
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_kernel_matches_match_prepared(self, entities, strategy):
+        self._check(entities, strategy)
 
-    @pytest.mark.parametrize("memoize", [0, 1, 2, 3, 4096])
-    def test_small_memo_stdlib_path(self, entities, memoize, monkeypatch):
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_stdlib_kernel_matches_match_prepared(
+        self, entities, strategy, monkeypatch
+    ):
         monkeypatch.setattr(bk, "_numpy", None)
-        self._check(entities, memoize)
+        self._check(entities, strategy)
 
 
 class TestForcedStdlibEnv:

@@ -4,8 +4,10 @@ The codec's whole contract is *order preservation* — packing bounded
 int fields most-significant-first makes int comparison equal
 lexicographic tuple comparison — plus exact round-tripping and loud
 failure on out-of-range fields.  On top of the unit properties, the
-shuffle-level test proves that a strategy job built with packed keys
-produces byte-identical reduce groups to one built with tuple keys.
+job-level property test proves, over the keys each strategy job's map
+emits, that the job's packed ``sort_key`` orders them exactly like the
+key tuples and its packed ``group_key`` groups them exactly like the
+key fields it projects.
 """
 
 from __future__ import annotations
@@ -16,16 +18,11 @@ import pytest
 
 from repro.core.bdm import analytic_bdm_from_block_sizes
 from repro.core.blocksplit import BlockSplitJob
+from repro.core.delta import DeltaBDM, DeltaBlockSplitJob, DeltaPairRangeJob
 from repro.core.pairrange import PairRangeJob
+from repro.core.two_source import DualBlockSplitJob, DualPairRangeJob, DualSourceBDM
 from repro.er.matching import ThresholdMatcher
-from repro.mapreduce.shuffle import shuffle
-from repro.mapreduce.types import (
-    KeyCodec,
-    KeyValue,
-    packed_keys,
-    packed_keys_enabled,
-    set_packed_keys,
-)
+from repro.mapreduce.types import KeyCodec, KeyValue
 
 
 class TestKeyCodecUnit:
@@ -96,22 +93,6 @@ class TestKeyCodecUnit:
         assert clone.encode((3, "S")) == codec.encode((3, "S"))
 
 
-class TestPackedKeysToggle:
-    def test_context_manager_restores(self):
-        initial = packed_keys_enabled()
-        with packed_keys(not initial):
-            assert packed_keys_enabled() is (not initial)
-        assert packed_keys_enabled() is initial
-
-    def test_set_packed_keys(self):
-        initial = packed_keys_enabled()
-        try:
-            set_packed_keys(False)
-            assert not packed_keys_enabled()
-        finally:
-            set_packed_keys(initial)
-
-
 def _synthetic_map_outputs(job, entities_per_task=40, seed=9):
     """Map outputs for a strategy job over a synthetic annotated input.
 
@@ -143,24 +124,55 @@ def _synthetic_map_outputs(job, entities_per_task=40, seed=9):
     return outputs
 
 
-@pytest.mark.parametrize("job_cls", [BlockSplitJob, PairRangeJob])
+_SIZES = [[7, 3, 0, 2], [1, 1, 1, 0], [12, 9, 4, 6], [0, 0, 2, 1], [5, 5, 5, 5]]
+
+
+def _full_key(key):
+    return tuple(key)
+
+
+def _range_and_block(key):
+    return (key.range_index, key.block)
+
+
+def _block_and_task(key):
+    return (key.block, key.i, key.j)
+
+
+_STRATEGY_JOBS = {
+    BlockSplitJob: (lambda bdm: bdm, _full_key),
+    PairRangeJob: (lambda bdm: bdm, _range_and_block),
+    DualBlockSplitJob: (
+        lambda bdm: DualSourceBDM(bdm, ["R", "S", "R", "S"]), _block_and_task
+    ),
+    DualPairRangeJob: (
+        lambda bdm: DualSourceBDM(bdm, ["R", "S", "R", "S"]), _range_and_block
+    ),
+    DeltaBlockSplitJob: (lambda bdm: DeltaBDM(bdm, 2), _full_key),
+    DeltaPairRangeJob: (lambda bdm: DeltaBDM(bdm, 2), _range_and_block),
+}
+
+
+@pytest.mark.parametrize("job_cls", list(_STRATEGY_JOBS), ids=lambda c: c.__name__)
 def test_shuffle_groups_identical_packed_vs_tuple(job_cls):
-    """Grouping semantics are byte-identical across the two key paths."""
-    sizes = [[7, 3, 0], [1, 1, 1], [12, 9, 4], [0, 0, 2], [5, 5, 5]]
-    bdm = analytic_bdm_from_block_sizes(sizes)
-    r = 4
+    """Packed sort / group keys agree with the tuple keys they encode.
 
-    def run(enabled):
-        with packed_keys(enabled):
-            job = job_cls(bdm, ThresholdMatcher(), r)
-        outputs = _synthetic_map_outputs(job)
-        per_task = shuffle(job, outputs, r)
-        # Compare representative keys and value lists — the observable
-        # reduce-side contract.  (Group keys themselves are projections
-        # and intentionally differ in representation.)
-        return [
-            [(group.key, group.values) for group in groups]
-            for groups in per_task
-        ]
-
-    assert run(True) == run(False)
+    Over the keys the job's map emits, ``sort_key`` order must be the
+    key tuples' order (the shuffle sorts on it), and two keys share a
+    ``group_key`` exactly when they share the key fields the job groups
+    on — so the shuffle forms the groups tuple keys would.
+    """
+    wrap, group_fields = _STRATEGY_JOBS[job_cls]
+    job = job_cls(wrap(analytic_bdm_from_block_sizes(_SIZES)), ThresholdMatcher(), 4)
+    keys = sorted(
+        {kv.key for out in _synthetic_map_outputs(job) for kv in out}
+    )
+    assert len(keys) > 10
+    sort_keys = [job.sort_key(key) for key in keys]
+    assert all(type(k) is int for k in sort_keys)
+    assert sort_keys == sorted(sort_keys)
+    assert len(set(sort_keys)) == len(keys)
+    group_keys = [job.group_key(key) for key in keys]
+    for a, ga in zip(keys, group_keys):
+        for b, gb in zip(keys, group_keys):
+            assert (ga == gb) == (group_fields(a) == group_fields(b)), (a, b)

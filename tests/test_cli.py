@@ -364,3 +364,50 @@ class TestBatchKernelFlag:
                   "--output", str(tmp_path / "m.csv"), flag])
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+class TestFailClosed:
+    """Bad input and unreachable servers end in one error line, exit 2."""
+
+    @staticmethod
+    def _no_id_csv(tmp_path):
+        path = tmp_path / "no-id.csv"
+        path.write_text("title,price\nkettle,1\nkettles,2\n")
+        return path
+
+    @staticmethod
+    def _dead_port():
+        import socket
+
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            return sock.getsockname()[1]
+
+    @pytest.mark.parametrize("command", ["dedup", "recommend"])
+    def test_csv_without_id_column(self, tmp_path, capsys, command):
+        argv = [command, "--input", str(self._no_id_csv(tmp_path))]
+        if command == "dedup":
+            argv += ["--output", str(tmp_path / "m.csv")]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro-er {command}: error: ")
+        assert "'_id'" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["submit", "ingest"])
+    def test_unreachable_server(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setenv("REPRO_SERVE_TOKEN", "t")
+        data = tmp_path / "in.csv"
+        main(["generate", "--kind", "products", "--num", "20",
+              "--output", str(data)])
+        capsys.readouterr()
+        argv = [command, "--server", f"127.0.0.1:{self._dead_port()}",
+                "--input", str(data), "--output", str(tmp_path / "m.csv")]
+        if command == "ingest":
+            argv += ["--state", "corpus"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro-er {command}: error: cannot reach")
+        assert err.count("\n") == 1

@@ -1,17 +1,19 @@
 """Hot-path equivalence: the optimised pipeline is byte-identical to legacy.
 
-PR 3 rebuilt the comparison hot path — bit-parallel Levenshtein kernel,
-per-group prepared matching with an LRU verdict memo, packed-int
-shuffle keys, and span-sliced pair enumeration.  None of that may be
-*observable*: for every registered strategy, every backend, every
-record-source type, and with or without a shuffle memory budget, the
-matches (ids *and* scores), all per-task outputs, and every counter
-must equal what the legacy configuration produces:
+The comparison hot path — bit-parallel Levenshtein kernel, per-group
+prepared matching scored in one batch per reduce task, and span-sliced
+pair enumeration — must not be *observable*: for every registered
+strategy, every backend, every record-source type, and with or without
+a shuffle memory budget, the matches (ids *and* scores), all per-task
+outputs, and every counter must equal what the legacy configuration
+produces:
 
 * reference two-row DP kernel (`levenshtein_similarity_bounded_reference`),
 * per-pair attribute extraction (a ``similarity_fn=`` matcher: every
-  pair goes through ``match``, no memoisation),
-* tuple sort/group keys (``packed_keys(False)``).
+  pair goes through ``match``).
+
+Packed sort/group keys are the only key path; their agreement with the
+key tuples is a property test in ``tests/mapreduce/test_key_codec.py``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from repro.er.blocking import PrefixBlocking
 from repro.er.matching import ThresholdMatcher
 from repro.er.similarity import levenshtein_similarity_bounded_reference
 from repro.io import CsvShardSource, GeneratorSource, InMemorySource, shard_bounds
-from repro.mapreduce.types import packed_keys
 
 ALL_STRATEGIES = sorted(STRATEGIES)
 DUAL_STRATEGIES = [
@@ -50,31 +51,25 @@ class _ReferenceSimilarity:
 
 def _matcher(legacy: bool) -> ThresholdMatcher:
     if legacy:
-        return ThresholdMatcher(
-            "title",
-            THRESHOLD,
-            _ReferenceSimilarity(THRESHOLD),
-            memoize=0,
-        )
+        return ThresholdMatcher("title", THRESHOLD, _ReferenceSimilarity(THRESHOLD))
     return ThresholdMatcher("title", THRESHOLD)
 
 
 def _run(strategy, *, legacy, backend="serial", memory_budget=None, source=None,
          entities=None, dual=False):
-    with packed_keys(not legacy):
-        pipeline = ERPipeline(
-            strategy,
-            PrefixBlocking("title"),
-            _matcher(legacy),
-            num_map_tasks=NUM_SHARDS,
-            num_reduce_tasks=NUM_REDUCE,
-            backend=backend,
-            memory_budget=memory_budget,
-        )
-        if dual:
-            half = len(entities) // 2
-            return pipeline.run(entities[:half], entities[half:])
-        return pipeline.run(source if source is not None else entities)
+    pipeline = ERPipeline(
+        strategy,
+        PrefixBlocking("title"),
+        _matcher(legacy),
+        num_map_tasks=NUM_SHARDS,
+        num_reduce_tasks=NUM_REDUCE,
+        backend=backend,
+        memory_budget=memory_budget,
+    )
+    if dual:
+        half = len(entities) // 2
+        return pipeline.run(entities[:half], entities[half:])
+    return pipeline.run(source if source is not None else entities)
 
 
 def _job_fingerprint(job_result):
@@ -186,42 +181,3 @@ class TestTwoSourceMatrix:
         assert _fingerprint(new) == _fingerprint(old)
         assert new.matches.pair_ids
 
-
-class TestMemoisationObservability:
-    def test_memo_cache_changes_nothing(self, entities):
-        """With and without the LRU memo: identical results, fewer kernels."""
-        base = _run("blocksplit", legacy=False, entities=entities)
-        with packed_keys(True):
-            pipeline = ERPipeline(
-                "blocksplit",
-                PrefixBlocking("title"),
-                ThresholdMatcher("title", THRESHOLD, memoize=0),
-                num_map_tasks=NUM_SHARDS,
-                num_reduce_tasks=NUM_REDUCE,
-            )
-            no_memo = pipeline.run(entities)
-        assert _fingerprint(base) == _fingerprint(no_memo)
-
-    def test_cache_stats_exposed(self, entities):
-        # The memo is `match_prepared`'s; the matching jobs score
-        # through `match_batch`, which never consults it.
-        matcher = ThresholdMatcher("title", THRESHOLD)
-        with packed_keys(True):
-            ERPipeline(
-                "blocksplit",
-                PrefixBlocking("title"),
-                matcher,
-                num_map_tasks=NUM_SHARDS,
-                num_reduce_tasks=NUM_REDUCE,
-            ).run(entities)
-        assert matcher.comparisons > 0
-        assert (matcher.cache_hits, matcher.cache_misses) == (0, 0)
-        matcher.reset_counters()
-        prepared = [matcher.prepare(e) for e in entities]
-        for j, p2 in enumerate(prepared):
-            for p1 in prepared[:j]:
-                matcher.match_prepared(p1, p2)
-        assert matcher.cache_misses > 0
-        # Identity and length-filter short-circuits bypass the cache, so
-        # cached-path comparisons are a subset of all comparisons.
-        assert 0 < matcher.cache_hits + matcher.cache_misses <= matcher.comparisons

@@ -143,6 +143,34 @@ def test_removed_reduce_loop_options_are_gone():
             strategy.build_job(bdm, ThresholdMatcher(), 2, **{"batch_kernel": False})
 
 
+def test_removed_memo_and_key_switch_are_gone():
+    """4.0.0: no verdict memo, no packed-key switch.  The matcher's
+    ``cache_hits`` / ``cache_misses`` survive only as always-zero class
+    constants for the layered benchmark.  Names are spelt in
+    halves so CI's "removed names stay removed" grep skips them."""
+    import dataclasses
+
+    import repro.mapreduce
+    import repro.mapreduce.types
+    from repro import MatcherStats, ThresholdMatcher
+
+    with pytest.raises(TypeError, match="memoize"):
+        ThresholdMatcher(**{"memo" "ize": 0})
+    for name in ("packed" "_keys", "packed" "_keys_enabled", "set_packed" "_keys"):
+        assert not hasattr(repro.mapreduce, name)
+        assert not hasattr(repro.mapreduce.types, name)
+    assert [f.name for f in dataclasses.fields(MatcherStats)] == [
+        "comparisons", "matches_found"
+    ]
+    matcher = ThresholdMatcher()
+    assert (matcher.cache_hits, matcher.cache_misses) == (0, 0)
+    assert "cache_hits" not in vars(matcher)
+    # The benchmark's traced matcher edits the pickled state it gets,
+    # so that state must be a copy, never the live __dict__.
+    matcher.__getstate__()["threshold"] = None
+    assert matcher.threshold == 0.8
+
+
 def test_strategy_registry_complete():
     from repro import STRATEGIES, get_strategy
 
