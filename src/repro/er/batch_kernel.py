@@ -12,12 +12,19 @@ in one call:
 3. a length filter settles hopeless pairs at 0.0 (the same
    ``diff > ⌊(1 − t)·longest⌋`` test the scalar matcher applies),
 4. the surviving pairs collapse to the *distinct* unordered string
-   pairs among them, and each of those is computed exactly once.
+   pairs among them,
+5. a count filter settles the distinct pairs whose character-histogram
+   bound (:func:`histogram_bound`, Gravano et al.'s count filtering)
+   exceeds the edit budget at 0.0 — on title-like strings almost all
+   of them, since the length filter passes nearly every pair,
+6. each distinct pair that is left is computed exactly once.
 
-With numpy importable everything after step 1 is int64/float64/uint64
+With numpy importable everything after step 1 is integer and float64
 array arithmetic: pairs, surviving pairs and distinct pairs stay
 ``(pattern code, text code, budget)`` integer arrays from the spec's
-``index_arrays`` to the scattered scores, and step 4 is one call of
+``index_arrays`` to the scattered scores, step 5 is one ``uint8``
+histogram row per distinct string and one L1 row sum per distinct pair,
+and step 6 is one call of
 :func:`repro.er.similarity.myers_distance_lanes`, which runs Myers'
 bit-parallel recurrence with one ``uint64`` lane per distinct pair.
 Python touches each *entity's string* once (to code it), each distinct
@@ -28,8 +35,10 @@ pure-stdlib loop with the same collapse runs.
 
 Both paths are byte-identical to the scalar kernel in every score:
 each is either ``1.0``/``0.0`` from the same short-circuits
-:func:`~repro.er.similarity.levenshtein_similarity_bounded` takes or
-the output of the same bounded Myers/banded kernels it calls.  The
+:func:`~repro.er.similarity.levenshtein_similarity_bounded` takes, ``0.0``
+for a pair the count filter proves is over budget (the scalar kernel
+finds the same distance > budget the long way), or the output of the
+same bounded Myers/banded kernels it calls.  The
 batch is stateless: nothing is remembered between calls.
 numpy stays an *optional* dependency (the ``fast`` extra); set
 ``REPRO_ER_FORCE_STDLIB=1`` to force the fallback with numpy installed.
@@ -40,6 +49,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_right
 from math import isqrt
+from operator import sub
 from typing import Iterator, Sequence
 
 from .similarity import (
@@ -58,11 +68,15 @@ except ImportError:  # pragma: no cover
     _numpy = None
 
 #: Below this many pairs the stdlib loop runs even with numpy active.
-#: Measured on both benchmark corpora: a numpy batch costs ~0.65 ms
-#: before its first pair (about 35 array operations per text position,
-#: whatever the lane count) and ~1 µs per pair after it, the stdlib loop
-#: 14–22 µs per pair that reaches Myers — they cross at 50–80 pairs.
-#: Both paths are byte-identical, so this is purely a performance knob.
+#: Measured on windows of the ``dedup-skewed`` and ``delta-ingest``
+#: benchmark batches (2-core Xeon, numpy 2.4), with the count filter
+#: settling ~99 % of the lanes on both paths: a numpy batch costs
+#: ~0.15 ms when no lane survives the filter and ~0.45 ms once the
+#: Myers recurrence runs at all (about 35 array operations per text
+#: position, whatever the lane count); the stdlib loop costs ~4.6 µs
+#: per pair, most of it the 64-bucket L1 sum.  They cross at 48–64
+#: pairs.  Both paths are byte-identical, so this is purely a
+#: performance knob.
 NUMPY_MIN_PAIRS = 64
 
 
@@ -260,6 +274,41 @@ def _encode(texts: Sequence[str]) -> tuple[list[int], list[str]]:
     return codes, list(code_of)
 
 
+def char_histogram(text: str) -> bytes:
+    """``text``'s count-filter histogram: code point ``& 63`` picks one
+    of 64 buckets, and each count saturates at 255 (one byte)."""
+    counts = [0] * 64
+    for point in map(ord, text):
+        counts[point & 63] += 1
+    if len(text) < 256:  # no count can reach the cap
+        return bytes(counts)
+    return bytes(min(count, 255) for count in counts)
+
+
+def histogram_bound(a: bytes, b: bytes) -> int:
+    """A lower bound on the edit distance of two strings, from their
+    :func:`char_histogram`: ``⌈L1 / 2⌉``.
+
+    An insert or a delete moves the L1 distance of the exact character
+    counts by 1 and a substitution by 2, so ``d ≥ ⌈L1 / 2⌉``; merging
+    code points into buckets and capping counts (``|min(x, c) − min(y,
+    c)| ≤ |x − y|``) can only shrink L1, so the bound stays sound.
+    """
+    return (sum(map(abs, map(sub, a, b))) + 1) // 2
+
+
+def _char_histograms(np, distinct, lengths):
+    """:func:`char_histogram` of every distinct string, as one
+    ``strings × 64`` ``uint8`` array."""
+    points = np.frombuffer("".join(distinct).encode("utf-32-le"), dtype="<u4")
+    owner = np.repeat(np.arange(lengths.shape[0], dtype=np.int64), lengths)
+    counts = np.bincount(
+        owner * 64 + (points & 63), minlength=lengths.shape[0] * 64
+    ).reshape(-1, 64)
+    cap = np.iinfo(np.uint8).max
+    return np.minimum(counts, cap).astype(np.uint8)
+
+
 def _score_numpy(np, texts, pairs, threshold):
     codes, distinct = _encode(texts)
     lengths = np.fromiter(map(len, distinct), dtype=np.int64, count=len(distinct))
@@ -271,7 +320,8 @@ def _score_numpy(np, texts, pairs, threshold):
         # One lane per distinct unordered string pair among the survivors.
         keys, inverse = np.unique(keys, return_inverse=True)
         scores[survive] = _distinct_similarity(
-            np, distinct, lengths, keys, threshold
+            np, distinct, lengths, _char_histograms(np, distinct, lengths),
+            keys, threshold,
         )[inverse]
     return scores
 
@@ -297,17 +347,27 @@ def _surviving_keys(np, codes, lengths, pairs, threshold):
     return (ca == cb).astype(np.float64), survive, keys
 
 
-def _distinct_similarity(np, distinct, lengths, keys, threshold):
+def _distinct_similarity(np, distinct, lengths, histograms, keys, threshold):
     """Similarity of each distinct surviving string pair, by key."""
-    ndistinct = lengths.shape[0]
-    qa = keys // ndistinct
-    qb = keys % ndistinct
+    qa, qb = np.divmod(keys, lengths.shape[0])
+    longest = np.maximum(lengths[qa], lengths[qb])
+    budget = ((1.0 - threshold) * longest).astype(np.int64)
+    # Count filter: a pair whose histogram bound exceeds its budget is
+    # hopeless and stays 0.0; only the rest become lanes.
+    ha = histograms.take(qa, axis=0)
+    hb = histograms.take(qb, axis=0)
+    l1 = np.maximum(ha, hb)
+    l1 -= np.minimum(ha, hb, out=ha)  # |ha − hb|, still uint8
+    l1 = l1.sum(axis=1, dtype=np.uint16)  # at most 64 · 255
+    hopeful = np.nonzero((l1 + 1) // 2 <= budget)[0]
+    qa = qa[hopeful]
+    qb = qb[hopeful]
+    longest = longest[hopeful]
+    budget = budget[hopeful]
     la = lengths[qa]
     lb = lengths[qb]
     a_longer = la >= lb
-    longest = np.where(a_longer, la, lb)
     shortest = np.where(a_longer, lb, la)
-    budget = ((1.0 - threshold) * longest).astype(np.int64)
     fits_word = (shortest >= 1) & (shortest <= 64)
     myers = np.nonzero(fits_word)[0]
     distance = myers_distance_lanes(
@@ -317,15 +377,15 @@ def _distinct_similarity(np, distinct, lengths, keys, threshold):
         np.where(a_longer, qa, qb)[myers],
         budget[myers],
     )
-    similarity = np.empty(keys.shape[0], dtype=np.float64)
+    similarity = np.zeros(keys.shape[0], dtype=np.float64)
     # Same float64 arithmetic as the scalar ``1.0 - d / longest``.
-    similarity[myers] = np.where(
+    similarity[hopeful[myers]] = np.where(
         distance > budget[myers], 0.0, 1.0 - distance / longest[myers]
     )
     # Empty or > 64-character patterns are outside Myers' word: the
     # scalar dispatch (banded DP) scores those distinct pairs.
     for u in np.nonzero(~fits_word)[0].tolist():
-        similarity[u] = levenshtein_similarity_bounded(
+        similarity[hopeful[u]] = levenshtein_similarity_bounded(
             distinct[qa[u]], distinct[qb[u]], threshold
         )
     return similarity
@@ -336,6 +396,7 @@ def _score_stdlib(texts, pairs, threshold):
     ndistinct = len(distinct)
     lengths = [len(s) for s in distinct]
     masks: dict[int, MyersMasks] = {}
+    histograms: list[bytes | None] = [None] * ndistinct
     computed: dict[int, float] = {}
     scores = [0.0] * pairs.count
     one_minus = 1.0 - threshold
@@ -357,7 +418,15 @@ def _score_stdlib(texts, pairs, threshold):
         key = a * ndistinct + b if a < b else b * ndistinct + a
         score = computed.get(key)
         if score is None:
-            if 1 <= shortest <= 64:
+            ha = histograms[a]
+            if ha is None:
+                ha = histograms[a] = char_histogram(distinct[a])
+            hb = histograms[b]
+            if hb is None:
+                hb = histograms[b] = char_histogram(distinct[b])
+            if histogram_bound(ha, hb) > budget:
+                score = 0.0  # count filter
+            elif 1 <= shortest <= 64:
                 # levenshtein_similarity_bounded's Myers case, over
                 # masks prepacked once per distinct pattern.
                 packed = masks.get(pattern)

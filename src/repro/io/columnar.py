@@ -21,8 +21,8 @@ in shard order:
 
 * bytes ``0..8`` — record count ``n`` as a little-endian ``u64``;
 * bytes ``8..8+(n+1)*8`` — ``n+1`` little-endian ``u64`` offsets into
-  the payload, measured in *code points* (``offsets[0] == 0``; value
-  ``i`` spans ``offsets[i]..offsets[i+1]``);
+  the payload, measured in *code points* (``offsets[0] == 0``,
+  non-decreasing; value ``i`` spans ``offsets[i]..offsets[i+1]``);
 * the rest — the payload: every value concatenated, encoded as
   UTF-32-LE (one fixed-width ``u32`` per code point).
 
@@ -50,6 +50,8 @@ import mmap
 import struct
 import sys
 from array import array
+from itertools import islice
+from operator import le
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -197,13 +199,23 @@ class _Column:
         np = active_numpy()
         if np is not None:
             offsets = np.frombuffer(offsets_bytes, dtype="<u8")
+            # Compared, not differenced: uint64 differences wrap.
+            ok = not (offsets[1:] < offsets[:-1]).any()
         else:
             offsets = array("Q")
             offsets.frombytes(offsets_bytes.tobytes())
             if sys.byteorder == "big":
                 offsets.byteswap()
             offsets_bytes.release()
+            ok = all(map(le, offsets, islice(offsets, 1, None)))
         view.release()
+        if not ok:
+            # A decreasing interior offset would decode to wrong or
+            # empty strings; drop every view of the map, then reject.
+            offsets = None
+            offsets_bytes.release()
+            self.close()
+            raise ValueError(f"{path}: truncated or corrupt column file")
         self._offsets = offsets
         self._payload = memoryview(self._map)[offsets_end:]
         self.count = n

@@ -97,6 +97,21 @@ def columnar_dir(entities, tmp_path_factory):
     return write_columnar(InMemorySource(entities, num_shards=NUM_SHARDS), out)
 
 
+@pytest.fixture
+def columnar(columnar_dir):
+    """Opens columnar sources over ``columnar_dir``; closes them after
+    the test, so no memory-mapped column file outlives it."""
+    opened = []
+
+    def open_source():
+        opened.append(ColumnarShardSource(columnar_dir))
+        return opened[-1]
+
+    yield open_source
+    for source in opened:
+        source.close()
+
+
 class TestBackendBudgetMatrix:
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     @pytest.mark.parametrize("backend", ["serial", "parallel"])
@@ -126,12 +141,12 @@ class TestBackendBudgetMatrix:
 
 
 class TestRecordSourceMatrix:
-    def _sources(self, entities, csv_path, columnar_dir):
+    def _sources(self, entities, csv_path, columnar):
         bounds = shard_bounds(len(entities), NUM_SHARDS)
         return {
             "in-memory": lambda: InMemorySource(entities, num_shards=NUM_SHARDS),
             "csv-shards": lambda: CsvShardSource(csv_path, num_shards=NUM_SHARDS),
-            "columnar": lambda: ColumnarShardSource(columnar_dir),
+            "columnar": columnar,
             "generator": lambda: GeneratorSource(
                 [(lambda lo=lo, hi=hi: iter(entities[lo:hi])) for lo, hi in bounds]
             ),
@@ -141,31 +156,27 @@ class TestRecordSourceMatrix:
     @pytest.mark.parametrize(
         "source_kind", ["in-memory", "csv-shards", "columnar", "generator"]
     )
-    def test_all_sources(self, entities, csv_path, columnar_dir, strategy,
+    def test_all_sources(self, entities, csv_path, columnar, strategy,
                          source_kind):
-        make = self._sources(entities, csv_path, columnar_dir)[source_kind]
+        make = self._sources(entities, csv_path, columnar)[source_kind]
         batched = _run(strategy, source=make(), entities=entities)
         per_pair = _run(strategy, per_pair=True, source=make(), entities=entities)
         assert _fingerprint(batched) == _fingerprint(per_pair)
 
-    def test_columnar_equals_csv_run(self, entities, csv_path, columnar_dir):
+    def test_columnar_equals_csv_run(self, entities, csv_path, columnar):
         """Same shard count ⇒ a columnar run is byte-identical to CSV."""
-        via_columnar = _run("blocksplit",
-                            source=ColumnarShardSource(columnar_dir),
-                            entities=entities)
+        via_columnar = _run("blocksplit", source=columnar(), entities=entities)
         via_csv = _run("blocksplit",
                        source=CsvShardSource(csv_path, num_shards=NUM_SHARDS),
                        entities=entities)
         assert _fingerprint(via_columnar) == _fingerprint(via_csv)
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
-    def test_columnar_with_budget(self, entities, columnar_dir, strategy):
-        batched = _run(strategy, memory_budget=48,
-                       source=ColumnarShardSource(columnar_dir),
+    def test_columnar_with_budget(self, entities, columnar, strategy):
+        batched = _run(strategy, memory_budget=48, source=columnar(),
                        entities=entities)
         per_pair = _run(strategy, per_pair=True, memory_budget=48,
-                      source=ColumnarShardSource(columnar_dir),
-                      entities=entities)
+                        source=columnar(), entities=entities)
         assert _fingerprint(batched) == _fingerprint(per_pair)
 
 

@@ -272,6 +272,42 @@ class TestScorePairBatch:
     def test_empty_batch(self, kernel_mode):
         assert len(score_pair_batch([], TrianglePairs(0), 0.8)) == 0
 
+    def test_count_filter_settles_most_lanes(self, kernel_mode):
+        """Titles of 30–44 characters pass the length filter almost
+        always; the histogram bound settles > 95 % of those lanes, and
+        the scores stay exactly the scalar kernel's."""
+        rng = random.Random(3232)
+        letters = "abcdefghijklmnopqrstuvwxyz0123456789 -éß"
+        texts = [
+            "".join(rng.choice(letters) for _ in range(rng.randrange(30, 45)))
+            for _ in range(60)
+        ]
+        for k in range(0, 60, 6):  # near-duplicates: the lanes that match
+            chars = list(texts[k])
+            chars[rng.randrange(len(chars))] = rng.choice(letters)
+            texts.append("".join(chars))
+        threshold = 0.8
+        spec = TrianglePairs(len(texts))
+        lanes = killed = 0
+        for i, j in spec.iter_pairs():
+            a, b = texts[i], texts[j]
+            longest = max(len(a), len(b))
+            budget = int((1.0 - threshold) * longest)
+            if a == b or abs(len(a) - len(b)) > budget:
+                continue
+            lanes += 1
+            killed += bk.histogram_bound(
+                bk.char_histogram(a), bk.char_histogram(b)
+            ) > budget
+        assert killed > 0.95 * lanes
+        scores = score_pair_batch(texts, spec, threshold)
+        expected = [
+            levenshtein_similarity_bounded(texts[i], texts[j], threshold)
+            for i, j in spec.iter_pairs()
+        ]
+        assert [float(score) for score in scores] == expected
+        assert sum(score >= threshold for score in expected) >= 10
+
 
 def _scalar_oracle(matcher, prepared, spec):
     """The scalar reduce loop: per-pair match_prepared in spec order."""

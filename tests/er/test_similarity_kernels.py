@@ -13,8 +13,15 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.er.batch_kernel import active_numpy
+from repro.er.batch_kernel import (
+    _char_histograms,
+    active_numpy,
+    char_histogram,
+    histogram_bound,
+)
 from repro.er.similarity import (
     _banded_distance,
     _myers_distance,
@@ -356,3 +363,87 @@ class TestBoundedSimilarityEquivalence:
             assert levenshtein_similarity_bounded(
                 a, b, t
             ) == levenshtein_similarity_bounded_reference(a, b, t), (a, b, t)
+
+
+#: ``a``/``¡``, ``A``/``\x01``/``\x81`` and ``😀``/``@`` share a bucket
+#: (code point ``& 63``), so histograms of different strings can be
+#: equal; ``中`` and ``é`` add multi-byte code points.
+COLLIDING = "a¡A\x01\x81😀@中é"
+_strings = st.text(alphabet=COLLIDING, max_size=70) | st.text(max_size=70)
+
+
+def _count_filter_bound(a: str, b: str) -> int:
+    return histogram_bound(char_histogram(a), char_histogram(b))
+
+
+class TestCountFilterBound:
+    """The character-histogram bound never exceeds the edit distance, so
+    a pair the count filter settles at 0.0 is one the scalar kernel
+    scores 0.0 as well."""
+
+    @given(a=_strings, b=_strings)
+    @settings(max_examples=400, deadline=None)
+    def test_never_exceeds_reference_distance(self, a, b):
+        assert _count_filter_bound(a, b) <= levenshtein_distance_reference(a, b)
+
+    @given(
+        a=_strings,
+        b=_strings,
+        threshold=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_a_killed_pair_scores_zero(self, a, b, threshold):
+        longest = max(len(a), len(b))
+        if a != b and _count_filter_bound(a, b) > int((1.0 - threshold) * longest):
+            assert levenshtein_similarity_bounded(a, b, threshold) == 0.0
+
+    @given(
+        data=st.data(),
+        m=st.integers(63, 66),
+        n=st.integers(63, 70),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_pattern_length_boundary(self, data, m, n):
+        """Both sides of Myers' 64-character word."""
+        a = data.draw(st.text(alphabet=COLLIDING, min_size=m, max_size=m))
+        b = data.draw(st.text(alphabet=COLLIDING, min_size=n, max_size=n))
+        assert _count_filter_bound(a, b) <= levenshtein_distance_reference(a, b)
+
+    def test_empty_strings(self):
+        assert _count_filter_bound("", "") == 0
+        assert _count_filter_bound("", "abc") == 2  # ⌈3 / 2⌉ ≤ 3
+        assert _count_filter_bound("😀😀", "") == 1
+
+    @pytest.mark.parametrize("c", [0, 1, 33, 97, 0x4E2D, 0x1F600])
+    def test_bucket_collisions_only_shrink_the_bound(self, c):
+        a = chr(c) * 5
+        b = chr(c + 64) * 5
+        assert char_histogram(a) == char_histogram(b)
+        assert _count_filter_bound(a, b) == 0
+        assert levenshtein_distance_reference(a, b) == 5
+
+    def test_saturated_counts_only_shrink_the_bound(self):
+        """A run past the one-byte cap of a single character."""
+        assert char_histogram("a" * 300)[97 & 63] == 255
+        assert _count_filter_bound("a" * 300, "a" * 600) == 0
+        assert _count_filter_bound("a" * 300 + "b", "a" * 256) == 1
+        assert levenshtein_distance_reference("a" * 300, "a" * 260) == 40
+
+    def test_tight_on_substitutions(self):
+        """A substitution moves L1 by 2, so the bound can be exact."""
+        assert _count_filter_bound("abc", "abd") == 1
+        assert _count_filter_bound("kitten", "sitting") == 3
+        assert levenshtein_distance_reference("kitten", "sitting") == 3
+
+    @needs_numpy
+    @given(strings=st.lists(_strings | st.just("a" * 300), min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_numpy_histograms_match_stdlib(self, strings):
+        """Both scorers build the same histograms, so they settle the
+        same lanes."""
+        np = active_numpy()
+        lengths = np.fromiter(map(len, strings), dtype=np.int64)
+        table = _char_histograms(np, strings, lengths)
+        assert [row.tobytes() for row in table] == [
+            char_histogram(s) for s in strings
+        ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import pickle
+import struct
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.io import (
     InMemorySource,
     write_columnar,
 )
+from repro.io import columnar
 from repro.io.columnar import MANIFEST_NAME
 
 
@@ -156,6 +158,26 @@ class TestReadErrors:
         column.write_bytes(column.read_bytes()[:-3])
         with pytest.raises(ValueError, match="truncated or corrupt"):
             list(ColumnarShardSource(out).iter_records())
+
+    @pytest.mark.parametrize("kernel", ["numpy", "stdlib"])
+    def test_decreasing_interior_offset(self, tmp_path, entities, monkeypatch,
+                                        kernel):
+        """First and last offsets intact, one interior offset past its
+        successor: rejected at open, not decoded to wrong strings."""
+        if kernel == "numpy" and columnar.active_numpy() is None:
+            pytest.skip("numpy not importable")
+        if kernel == "stdlib":
+            monkeypatch.setattr(columnar, "active_numpy", lambda: None)
+        out = self._packed(tmp_path, entities)
+        column = out / "2.col"  # title: offsets 0, 11, 11, 25, 25, 105
+        data = bytearray(column.read_bytes())
+        offset_2 = 8 + 2 * 8
+        data[offset_2 : offset_2 + 8] = struct.pack("<Q", 100)
+        column.write_bytes(bytes(data))
+        source = ColumnarShardSource(out)
+        with pytest.raises(ValueError, match="2.col: truncated or corrupt"):
+            list(source.iter_records())
+        source.close()
 
     def test_missing_column_file(self, tmp_path, entities):
         out = self._packed(tmp_path, entities)
