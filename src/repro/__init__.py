@@ -41,190 +41,98 @@ Quick start::
     assert again.matches == result.matches
 """
 
-from .analysis import (
-    SimulatedRun,
-    WorkloadStats,
-    bdm_for_block_sizes,
-    dataset_statistics,
-    format_series,
-    format_table,
-    imbalance,
-    simulate_run,
-    speedup,
-    sweep_nodes,
-    sweep_reduce_tasks,
-    sweep_skew,
-)
-from .cluster import ClusterSimulator, ClusterSpec, CostModel, TaskSpec
-from .core import (
-    BasicStrategy,
-    BlockDistributionMatrix,
-    BlockSplitStrategy,
-    DualSourceBDM,
-    LoadBalancingStrategy,
-    PairEnumeration,
-    PairRangeSpec,
-    PairRangeStrategy,
-    STRATEGIES,
-    StrategyPlan,
-    register_strategy,
-    analytic_bdm,
-    compute_bdm,
-    get_strategy,
-    MultiPassERWorkflow,
-    MultiPassResult,
-    link_with_missing_keys,
-    plan_basic,
-    plan_blocksplit,
-    plan_pairrange,
-    resolve_with_missing_keys,
-    simulate_planned_workflow,
-    simulate_strategy,
-)
-from .datasets import (
-    DS1_PROFILE,
-    DS2_PROFILE,
-    DatasetProfile,
-    ProductGenerator,
-    PublicationGenerator,
-    exponential_block_sizes,
-    generate_products,
-    generate_publications,
-    load_entities_csv,
-    save_entities_csv,
-    zipf_block_sizes,
-)
-from .engine import (
-    BACKENDS,
-    ERPipeline,
-    ExecutionBackend,
-    ExecutionEvent,
-    ExecutionProgress,
-    MatcherStats,
-    ParallelBackend,
-    ParallelRuntime,
-    PipelineCancelled,
-    PipelineExecution,
-    PipelineResult,
-    PlannedBackend,
-    SerialBackend,
-    get_backend,
-    register_backend,
-)
-from .er import (
-    AttributeBlocking,
-    BlockingFunction,
-    ConstantBlocking,
-    Entity,
-    Matcher,
-    MatchPair,
-    MatchResult,
-    PrefixBlocking,
-    ThresholdMatcher,
-    levenshtein_similarity,
-)
-from .io import (
-    CsvShardSource,
-    GeneratorSource,
-    InMemorySource,
-    RecordSource,
-    ShardBlockStats,
-)
-from .mapreduce import (
-    ExternalShuffle,
-    LocalRuntime,
-    MapReduceJob,
-    Partition,
-    make_partitions,
-)
+from . import _lazy
+
+#: Public name → the module that defines it, imported on first access.
+_EXPORTS = {
+    "SimulatedRun": ".analysis",
+    "WorkloadStats": ".analysis",
+    "bdm_for_block_sizes": ".analysis",
+    "dataset_statistics": ".analysis",
+    "format_series": ".analysis",
+    "format_table": ".analysis",
+    "imbalance": ".analysis",
+    "simulate_run": ".analysis",
+    "speedup": ".analysis",
+    "sweep_nodes": ".analysis",
+    "sweep_reduce_tasks": ".analysis",
+    "sweep_skew": ".analysis",
+    "ClusterSimulator": ".cluster",
+    "ClusterSpec": ".cluster",
+    "CostModel": ".cluster",
+    "TaskSpec": ".cluster",
+    "BasicStrategy": ".core",
+    "BlockDistributionMatrix": ".core",
+    "BlockSplitStrategy": ".core",
+    "DualSourceBDM": ".core",
+    "LoadBalancingStrategy": ".core",
+    "PairEnumeration": ".core",
+    "PairRangeSpec": ".core",
+    "PairRangeStrategy": ".core",
+    "STRATEGIES": ".core",
+    "StrategyPlan": ".core",
+    "register_strategy": ".core",
+    "BACKENDS": ".engine",
+    "ERPipeline": ".engine",
+    "ExecutionBackend": ".engine",
+    "ExecutionEvent": ".engine",
+    "ExecutionProgress": ".engine",
+    "MatcherStats": ".engine",
+    "ParallelBackend": ".engine",
+    "ParallelRuntime": ".engine",
+    "PipelineCancelled": ".engine",
+    "PipelineExecution": ".engine",
+    "PipelineResult": ".engine",
+    "PlannedBackend": ".engine",
+    "SerialBackend": ".engine",
+    "get_backend": ".engine",
+    "register_backend": ".engine",
+    "analytic_bdm": ".core",
+    "compute_bdm": ".core",
+    "get_strategy": ".core",
+    "MultiPassERWorkflow": ".core",
+    "MultiPassResult": ".core",
+    "link_with_missing_keys": ".core",
+    "plan_basic": ".core",
+    "plan_blocksplit": ".core",
+    "plan_pairrange": ".core",
+    "resolve_with_missing_keys": ".core",
+    "simulate_planned_workflow": ".core",
+    "simulate_strategy": ".core",
+    "DS1_PROFILE": ".datasets",
+    "DS2_PROFILE": ".datasets",
+    "DatasetProfile": ".datasets",
+    "ProductGenerator": ".datasets",
+    "PublicationGenerator": ".datasets",
+    "exponential_block_sizes": ".datasets",
+    "generate_products": ".datasets",
+    "generate_publications": ".datasets",
+    "load_entities_csv": ".datasets",
+    "save_entities_csv": ".datasets",
+    "zipf_block_sizes": ".datasets",
+    "AttributeBlocking": ".er",
+    "BlockingFunction": ".er",
+    "ConstantBlocking": ".er",
+    "Entity": ".er",
+    "Matcher": ".er",
+    "MatchPair": ".er",
+    "MatchResult": ".er",
+    "PrefixBlocking": ".er",
+    "ThresholdMatcher": ".er",
+    "levenshtein_similarity": ".er",
+    "CsvShardSource": ".io",
+    "GeneratorSource": ".io",
+    "InMemorySource": ".io",
+    "RecordSource": ".io",
+    "ShardBlockStats": ".io",
+    "ExternalShuffle": ".mapreduce",
+    "LocalRuntime": ".mapreduce",
+    "MapReduceJob": ".mapreduce",
+    "Partition": ".mapreduce",
+    "make_partitions": ".mapreduce",
+}
 
 __version__ = "4.0.0"
 
-__all__ = [
-    "SimulatedRun",
-    "WorkloadStats",
-    "bdm_for_block_sizes",
-    "dataset_statistics",
-    "format_series",
-    "format_table",
-    "imbalance",
-    "simulate_run",
-    "speedup",
-    "sweep_nodes",
-    "sweep_reduce_tasks",
-    "sweep_skew",
-    "ClusterSimulator",
-    "ClusterSpec",
-    "CostModel",
-    "TaskSpec",
-    "BasicStrategy",
-    "BlockDistributionMatrix",
-    "BlockSplitStrategy",
-    "DualSourceBDM",
-    "LoadBalancingStrategy",
-    "PairEnumeration",
-    "PairRangeSpec",
-    "PairRangeStrategy",
-    "STRATEGIES",
-    "StrategyPlan",
-    "register_strategy",
-    "BACKENDS",
-    "ERPipeline",
-    "ExecutionBackend",
-    "ExecutionEvent",
-    "ExecutionProgress",
-    "MatcherStats",
-    "ParallelBackend",
-    "ParallelRuntime",
-    "PipelineCancelled",
-    "PipelineExecution",
-    "PipelineResult",
-    "PlannedBackend",
-    "SerialBackend",
-    "get_backend",
-    "register_backend",
-    "analytic_bdm",
-    "compute_bdm",
-    "get_strategy",
-    "MultiPassERWorkflow",
-    "MultiPassResult",
-    "link_with_missing_keys",
-    "plan_basic",
-    "plan_blocksplit",
-    "plan_pairrange",
-    "resolve_with_missing_keys",
-    "simulate_planned_workflow",
-    "simulate_strategy",
-    "DS1_PROFILE",
-    "DS2_PROFILE",
-    "DatasetProfile",
-    "ProductGenerator",
-    "PublicationGenerator",
-    "exponential_block_sizes",
-    "generate_products",
-    "generate_publications",
-    "load_entities_csv",
-    "save_entities_csv",
-    "zipf_block_sizes",
-    "AttributeBlocking",
-    "BlockingFunction",
-    "ConstantBlocking",
-    "Entity",
-    "Matcher",
-    "MatchPair",
-    "MatchResult",
-    "PrefixBlocking",
-    "ThresholdMatcher",
-    "levenshtein_similarity",
-    "CsvShardSource",
-    "GeneratorSource",
-    "InMemorySource",
-    "RecordSource",
-    "ShardBlockStats",
-    "ExternalShuffle",
-    "LocalRuntime",
-    "MapReduceJob",
-    "Partition",
-    "make_partitions",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)

@@ -1,60 +1,37 @@
 """Analysis layer: metrics, experiment sweeps, and report formatting."""
 
-from .experiments import (
-    SimulatedRun,
-    bdm_for_block_sizes,
-    bdm_from_result,
-    dataset_statistics,
-    simulate_run,
-    sweep_from_result,
-    sweep_input_order,
-    sweep_nodes,
-    sweep_reduce_tasks,
-    sweep_skew,
-)
-from .evaluation import (
-    MatchQuality,
-    evaluate_matches,
-    pairs_completeness,
-    reduction_ratio,
-)
-from .metrics import (
-    WorkloadStats,
-    efficiency,
-    imbalance,
-    replication_factor,
-    speedup,
-    time_per_pairs,
-)
-from .reporting import format_seconds, format_series, format_table
-from .visualization import bar_chart, gantt, sparkline, workload_chart
+from .. import _lazy
 
-__all__ = [
-    "SimulatedRun",
-    "bdm_for_block_sizes",
-    "bdm_from_result",
-    "dataset_statistics",
-    "simulate_run",
-    "sweep_from_result",
-    "sweep_input_order",
-    "sweep_nodes",
-    "sweep_reduce_tasks",
-    "sweep_skew",
-    "MatchQuality",
-    "evaluate_matches",
-    "pairs_completeness",
-    "reduction_ratio",
-    "WorkloadStats",
-    "efficiency",
-    "imbalance",
-    "replication_factor",
-    "speedup",
-    "time_per_pairs",
-    "format_seconds",
-    "format_series",
-    "format_table",
-    "bar_chart",
-    "gantt",
-    "sparkline",
-    "workload_chart",
-]
+#: Public name → the module that defines it, imported on first access.
+_EXPORTS = {
+    "SimulatedRun": ".experiments",
+    "bdm_for_block_sizes": ".experiments",
+    "bdm_from_result": ".experiments",
+    "dataset_statistics": ".experiments",
+    "simulate_run": ".experiments",
+    "sweep_from_result": ".experiments",
+    "sweep_input_order": ".experiments",
+    "sweep_nodes": ".experiments",
+    "sweep_reduce_tasks": ".experiments",
+    "sweep_skew": ".experiments",
+    "MatchQuality": ".evaluation",
+    "evaluate_matches": ".evaluation",
+    "pairs_completeness": ".evaluation",
+    "reduction_ratio": ".evaluation",
+    "WorkloadStats": ".metrics",
+    "efficiency": ".metrics",
+    "imbalance": ".metrics",
+    "replication_factor": ".metrics",
+    "speedup": ".metrics",
+    "time_per_pairs": ".metrics",
+    "format_seconds": ".reporting",
+    "format_series": ".reporting",
+    "format_table": ".reporting",
+    "bar_chart": ".visualization",
+    "gantt": ".visualization",
+    "sparkline": ".visualization",
+    "workload_chart": ".visualization",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)

@@ -57,6 +57,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
 
@@ -491,19 +492,25 @@ def _columnar_source(path: str, command: str, *, source: str | None = None):
         raise SystemExit(f"repro-er {command}: error: {exc}") from None
 
 
+@contextmanager
+def _csv_errors(command: str):
+    """A malformed CSV input (say, no ``_id`` column) exits 2 with one line."""
+    try:
+        yield
+    except ValueError as exc:
+        print(f"repro-er {command}: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _load_entities(args: argparse.Namespace, path: str, *, source: str | None = None):
     """Materialize one entity input honouring --input-format
-    (``memory`` = CSV, ``columnar`` = packed dataset directory).  A
-    malformed CSV (say, no ``_id`` column) exits 2 with one line."""
+    (``memory`` = CSV, ``columnar`` = packed dataset directory)."""
     if getattr(args, "input_format", "memory") == "columnar":
         return list(
             _columnar_source(path, args.command, source=source).iter_records()
         )
-    try:
+    with _csv_errors(args.command):
         return load_entities_csv(path, source=source)
-    except ValueError as exc:
-        print(f"repro-er {args.command}: error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
 
 
 def cmd_pack(args: argparse.Namespace) -> int:
@@ -562,7 +569,8 @@ def cmd_dedup(args: argparse.Namespace) -> int:
         record_input: RecordSource | list = CsvShardSource(
             args.input, num_shards=shards
         )
-        num_entities = sum(record_input.shard_sizes())
+        with _csv_errors(args.command):
+            num_entities = sum(record_input.shard_sizes())
         input_note = f"{num_entities} entities ({shards} csv shards)"
     elif args.input_format == "columnar":
         record_input = _columnar_source(args.input, args.command)
@@ -793,7 +801,8 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         source = CsvShardSource(args.input, num_shards=shards)
         # One streaming pass yields the shard-level block counts the
         # whole skew profile (and strategy planning) derives from.
-        bdm = source.block_statistics(blocking).to_bdm()
+        with _csv_errors(args.command):
+            bdm = source.block_statistics(blocking).to_bdm()
     else:
         entities = _load_entities(args, args.input)
         bdm = analytic_bdm(make_partitions(entities, args.map_tasks), blocking)

@@ -6,35 +6,24 @@ this package converts them into simulated execution times, reproducing
 the *shape* of the paper's time/speedup figures.
 """
 
-from .costmodel import CostModel, lognormal_speed_factors
-from .simulation import (
-    ClusterSimulator,
-    ClusterSpec,
-    TaskSpec,
-    map_task_specs,
-    reduce_task_specs,
-)
-from .timeline import (
-    JobTimeline,
-    PhaseTimeline,
-    TaskExecution,
-    WorkflowTimeline,
-    makespan_lower_bound,
-    speedup_series,
-)
+from .. import _lazy
 
-__all__ = [
-    "CostModel",
-    "lognormal_speed_factors",
-    "ClusterSimulator",
-    "ClusterSpec",
-    "TaskSpec",
-    "map_task_specs",
-    "reduce_task_specs",
-    "JobTimeline",
-    "PhaseTimeline",
-    "TaskExecution",
-    "WorkflowTimeline",
-    "makespan_lower_bound",
-    "speedup_series",
-]
+#: Public name → the module that defines it, imported on first access.
+_EXPORTS = {
+    "CostModel": ".costmodel",
+    "lognormal_speed_factors": ".costmodel",
+    "ClusterSimulator": ".simulation",
+    "ClusterSpec": ".simulation",
+    "TaskSpec": ".simulation",
+    "map_task_specs": ".simulation",
+    "reduce_task_specs": ".simulation",
+    "JobTimeline": ".timeline",
+    "PhaseTimeline": ".timeline",
+    "TaskExecution": ".timeline",
+    "WorkflowTimeline": ".timeline",
+    "makespan_lower_bound": ".timeline",
+    "speedup_series": ".timeline",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)

@@ -137,9 +137,6 @@ class DeltaBDM:
             self._bdm.size(block, p) for p in range(self.num_old_partitions)
         )
 
-    def new_size(self, block: int) -> int:
-        return self._bdm.size(block) - self.old_size(block)
-
     def block_pairs(self, block: int) -> int:
         """Remaining pairs of ``block``: ``T(n) − T(o)``."""
         return block_pair_count(self._bdm.size(block)) - block_pair_count(

@@ -1,59 +1,32 @@
 """Dataset substrate: synthetic DS1/DS2 stand-ins, skew models, partitioning."""
 
-from .corruption import (
-    CorruptedDataset,
-    CorruptionConfig,
-    corrupt_dataset,
-)
-from .generators import (
-    DS1_PROFILE,
-    DS2_PROFILE,
-    DatasetProfile,
-    ProductGenerator,
-    PublicationGenerator,
-    generate_products,
-    generate_publications,
-)
-from .loaders import (
-    iter_entities_csv,
-    iter_entity_batches,
-    load_entities_csv,
-    save_entities_csv,
-)
-from .partitioning import (
-    distribute_block_sizes,
-    order_entities,
-    partition_entities,
-)
-from .skew import (
-    apportion,
-    exponential_block_sizes,
-    largest_block_share,
-    pair_count,
-    zipf_block_sizes,
-)
+from .. import _lazy
 
-__all__ = [
-    "CorruptedDataset",
-    "CorruptionConfig",
-    "corrupt_dataset",
-    "DS1_PROFILE",
-    "DS2_PROFILE",
-    "DatasetProfile",
-    "ProductGenerator",
-    "PublicationGenerator",
-    "generate_products",
-    "generate_publications",
-    "iter_entities_csv",
-    "iter_entity_batches",
-    "load_entities_csv",
-    "save_entities_csv",
-    "distribute_block_sizes",
-    "order_entities",
-    "partition_entities",
-    "apportion",
-    "exponential_block_sizes",
-    "largest_block_share",
-    "pair_count",
-    "zipf_block_sizes",
-]
+#: Public name → the module that defines it, imported on first access.
+_EXPORTS = {
+    "CorruptedDataset": ".corruption",
+    "CorruptionConfig": ".corruption",
+    "corrupt_dataset": ".corruption",
+    "DS1_PROFILE": ".generators",
+    "DS2_PROFILE": ".generators",
+    "DatasetProfile": ".generators",
+    "ProductGenerator": ".generators",
+    "PublicationGenerator": ".generators",
+    "generate_products": ".generators",
+    "generate_publications": ".generators",
+    "iter_entities_csv": ".loaders",
+    "iter_entity_batches": ".loaders",
+    "load_entities_csv": ".loaders",
+    "save_entities_csv": ".loaders",
+    "distribute_block_sizes": ".partitioning",
+    "order_entities": ".partitioning",
+    "partition_entities": ".partitioning",
+    "apportion": ".skew",
+    "exponential_block_sizes": ".skew",
+    "largest_block_share": ".skew",
+    "pair_count": ".skew",
+    "zipf_block_sizes": ".skew",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)

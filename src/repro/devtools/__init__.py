@@ -28,38 +28,25 @@ Everything is pure standard library (``ast`` + ``symtable`` +
 ``# repro-lint: disable=RULE`` pragma syntax and the baseline workflow.
 """
 
-from .baseline import Baseline, load_baseline, write_baseline
-from .context import ModuleContext, ProjectContext
-from .findings import Finding
-from .registry import Rule, all_rules, get_rule, register_rule
+from .. import _lazy
 
-#: Lazily re-exported from :mod:`repro.devtools.lint` — importing the
-#: runner eagerly here would pre-register ``repro.devtools.lint`` in
-#: ``sys.modules`` and trip runpy's double-import warning under
-#: ``python -m repro.devtools.lint``.
-_LINT_EXPORTS = ("LintReport", "lint_paths", "lint_source", "main")
+#: Public name → the module that defines it, imported on first access.
+_EXPORTS = {
+    "Baseline": ".baseline",
+    "Finding": ".findings",
+    "LintReport": ".lint",
+    "ModuleContext": ".context",
+    "ProjectContext": ".context",
+    "Rule": ".registry",
+    "all_rules": ".registry",
+    "get_rule": ".registry",
+    "lint_paths": ".lint",
+    "lint_source": ".lint",
+    "load_baseline": ".baseline",
+    "main": ".lint",
+    "register_rule": ".registry",
+    "write_baseline": ".baseline",
+}
 
-
-def __getattr__(name: str):
-    if name in _LINT_EXPORTS:
-        from . import lint
-
-        return getattr(lint, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-__all__ = [
-    "Baseline",
-    "Finding",
-    "LintReport",
-    "ModuleContext",
-    "ProjectContext",
-    "Rule",
-    "all_rules",
-    "get_rule",
-    "lint_paths",
-    "lint_source",
-    "load_baseline",
-    "main",
-    "register_rule",
-    "write_baseline",
-]
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)

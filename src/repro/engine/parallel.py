@@ -16,10 +16,10 @@ Executor choice:
     True multi-core speedup.  Requires the job (matcher, blocking
     function, BDM) to be picklable; matcher *instance* state mutated in
     workers stays in the workers — read comparison statistics from the
-    job counters, which are always shipped back.  The same applies to
-    :class:`~repro.er.matching.ThresholdMatcher`'s similarity memo
-    cache: it is per-worker, dropped from the pickles (the job is
-    pickled once per task submission), and rebuilt as workers match.
+    job counters, which are always shipped back.  The job is pickled
+    once per task submission; :class:`~repro.er.matching.ThresholdMatcher`
+    pickles its configuration and counters and keeps no cache, so a
+    worker scores every pair exactly as the driver would.
 ``"thread"``
     No pickling requirements and shared matcher state, but subject to
     the GIL — useful for tests and I/O-bound matchers.

@@ -1,92 +1,50 @@
 """Entity-resolution substrate: entities, blocking, similarity, matching."""
 
-from .blocking import (
-    CONSTANT_BLOCK_KEY,
-    AttributeBlocking,
-    BlockingFunction,
-    BlockKey,
-    CallableBlocking,
-    CompositeBlocking,
-    ConstantBlocking,
-    MultiPassBlocking,
-    PrefixBlocking,
-    normalize_string,
-)
-from .comparators import (
-    AttributeRule,
-    ConjunctiveMatcher,
-    WeightedMatcher,
-    exact_rule,
-    numeric_rule,
-    string_rule,
-)
-from .entity import Entity, make_entities
-from .matching import (
-    AlwaysMatcher,
-    Matcher,
-    MatchPair,
-    MatchResult,
-    RecordingMatcher,
-    ThresholdMatcher,
-    brute_force_match,
-    brute_force_pairs,
-)
-from .similarity import (
-    jaccard_similarity,
-    jaro_similarity,
-    jaro_winkler_similarity,
-    levenshtein_distance,
-    levenshtein_distance_reference,
-    levenshtein_similarity,
-    levenshtein_similarity_bounded,
-    levenshtein_similarity_bounded_reference,
-    ngram_jaccard,
-    ngrams,
-    numeric_similarity,
-    similarity_at_least,
-    token_jaccard,
-    weighted_average,
-)
+from .. import _lazy
 
-__all__ = [
-    "CONSTANT_BLOCK_KEY",
-    "AttributeBlocking",
-    "BlockingFunction",
-    "BlockKey",
-    "CallableBlocking",
-    "CompositeBlocking",
-    "ConstantBlocking",
-    "MultiPassBlocking",
-    "PrefixBlocking",
-    "normalize_string",
-    "AttributeRule",
-    "ConjunctiveMatcher",
-    "WeightedMatcher",
-    "exact_rule",
-    "numeric_rule",
-    "string_rule",
-    "Entity",
-    "make_entities",
-    "AlwaysMatcher",
-    "Matcher",
-    "MatchPair",
-    "MatchResult",
-    "RecordingMatcher",
-    "ThresholdMatcher",
-    "brute_force_match",
-    "brute_force_pairs",
-    "jaccard_similarity",
-    "jaro_similarity",
-    "jaro_winkler_similarity",
-    "levenshtein_distance",
-    "levenshtein_distance_reference",
-    "levenshtein_similarity",
-    "levenshtein_similarity_bounded",
-    "levenshtein_similarity_bounded_reference",
-    "ngram_jaccard",
-    "similarity_at_least",
-    "ngrams",
-    "numeric_similarity",
-    "token_jaccard",
-    "weighted_average",
-]
+#: Public name → the module that defines it, imported on first access.
+_EXPORTS = {
+    "CONSTANT_BLOCK_KEY": ".blocking",
+    "AttributeBlocking": ".blocking",
+    "BlockingFunction": ".blocking",
+    "BlockKey": ".blocking",
+    "CallableBlocking": ".blocking",
+    "CompositeBlocking": ".blocking",
+    "ConstantBlocking": ".blocking",
+    "MultiPassBlocking": ".blocking",
+    "PrefixBlocking": ".blocking",
+    "normalize_string": ".blocking",
+    "AttributeRule": ".comparators",
+    "ConjunctiveMatcher": ".comparators",
+    "WeightedMatcher": ".comparators",
+    "exact_rule": ".comparators",
+    "numeric_rule": ".comparators",
+    "string_rule": ".comparators",
+    "Entity": ".entity",
+    "make_entities": ".entity",
+    "AlwaysMatcher": ".matching",
+    "Matcher": ".matching",
+    "MatchPair": ".matching",
+    "MatchResult": ".matching",
+    "RecordingMatcher": ".matching",
+    "ThresholdMatcher": ".matching",
+    "brute_force_match": ".matching",
+    "brute_force_pairs": ".matching",
+    "jaccard_similarity": ".similarity",
+    "jaro_similarity": ".similarity",
+    "jaro_winkler_similarity": ".similarity",
+    "levenshtein_distance": ".similarity",
+    "levenshtein_distance_reference": ".similarity",
+    "levenshtein_similarity": ".similarity",
+    "levenshtein_similarity_bounded": ".similarity",
+    "levenshtein_similarity_bounded_reference": ".similarity",
+    "ngram_jaccard": ".similarity",
+    "similarity_at_least": ".similarity",
+    "ngrams": ".similarity",
+    "numeric_similarity": ".similarity",
+    "token_jaccard": ".similarity",
+    "weighted_average": ".similarity",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)

@@ -11,23 +11,19 @@ a time, while the planned backend consumes only the streamed statistics
 and never materializes records at all.
 """
 
-from .columnar import ColumnarShardSource, write_columnar
-from .sources import (
-    CsvShardSource,
-    GeneratorSource,
-    InMemorySource,
-    RecordSource,
-    shard_bounds,
-)
-from .stats import ShardBlockStats
+from .. import _lazy
 
-__all__ = [
-    "ColumnarShardSource",
-    "CsvShardSource",
-    "GeneratorSource",
-    "InMemorySource",
-    "RecordSource",
-    "ShardBlockStats",
-    "shard_bounds",
-    "write_columnar",
-]
+#: Public name → the module that defines it, imported on first access.
+_EXPORTS = {
+    "ColumnarShardSource": ".columnar",
+    "CsvShardSource": ".sources",
+    "GeneratorSource": ".sources",
+    "InMemorySource": ".sources",
+    "RecordSource": ".sources",
+    "ShardBlockStats": ".stats",
+    "shard_bounds": ".sources",
+    "write_columnar": ".columnar",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)

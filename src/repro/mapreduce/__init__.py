@@ -8,63 +8,44 @@ counters, combiners, and side outputs chained through an in-memory
 distributed file system.
 """
 
-from .counters import Counters, StandardCounter
-from .dfs import DfsError, DistributedFileSystem
-from .events import EventChannel, EventKind, ExecutionEvent, PipelineCancelled
-from .external_shuffle import ExternalShuffle
-from .job import Emitter, JobConfig, LambdaJob, MapReduceJob, TaskContext, stable_hash
-from .runtime import JobResult, LocalRuntime, MapTaskResult, ReduceTaskResult
-from .shuffle import (
-    group_bucket,
-    group_presorted_bucket,
-    group_presorted_entries,
-    partition_map_output,
-    shuffle,
-    shuffle_bucket,
-    sort_bucket,
-)
-from .types import (
-    KeyCodec,
-    KeyValue,
-    PackedProjection,
-    Partition,
-    ReduceGroup,
-    make_partitions,
-    shard_bounds,
-)
+from .. import _lazy
 
-__all__ = [
-    "KeyCodec",
-    "PackedProjection",
-    "shuffle_bucket",
-    "group_presorted_bucket",
-    "group_presorted_entries",
-    "EventChannel",
-    "EventKind",
-    "ExecutionEvent",
-    "PipelineCancelled",
-    "Counters",
-    "StandardCounter",
-    "DfsError",
-    "DistributedFileSystem",
-    "ExternalShuffle",
-    "Emitter",
-    "JobConfig",
-    "LambdaJob",
-    "MapReduceJob",
-    "TaskContext",
-    "stable_hash",
-    "JobResult",
-    "LocalRuntime",
-    "MapTaskResult",
-    "ReduceTaskResult",
-    "group_bucket",
-    "partition_map_output",
-    "shuffle",
-    "sort_bucket",
-    "KeyValue",
-    "Partition",
-    "ReduceGroup",
-    "make_partitions",
-    "shard_bounds",
-]
+#: Public name → the module that defines it, imported on first access.
+_EXPORTS = {
+    "KeyCodec": ".types",
+    "PackedProjection": ".types",
+    "shuffle_bucket": ".shuffle",
+    "group_presorted_bucket": ".shuffle",
+    "group_presorted_entries": ".shuffle",
+    "EventChannel": ".events",
+    "EventKind": ".events",
+    "ExecutionEvent": ".events",
+    "PipelineCancelled": ".events",
+    "Counters": ".counters",
+    "StandardCounter": ".counters",
+    "DfsError": ".dfs",
+    "DistributedFileSystem": ".dfs",
+    "ExternalShuffle": ".external_shuffle",
+    "Emitter": ".job",
+    "JobConfig": ".job",
+    "LambdaJob": ".job",
+    "MapReduceJob": ".job",
+    "TaskContext": ".job",
+    "stable_hash": ".job",
+    "JobResult": ".runtime",
+    "LocalRuntime": ".runtime",
+    "MapTaskResult": ".runtime",
+    "ReduceTaskResult": ".runtime",
+    "group_bucket": ".shuffle",
+    "partition_map_output": ".shuffle",
+    "shuffle": ".shuffle",
+    "sort_bucket": ".shuffle",
+    "KeyValue": ".types",
+    "Partition": ".types",
+    "ReduceGroup": ".types",
+    "make_partitions": ".types",
+    "shard_bounds": ".types",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)

@@ -133,9 +133,6 @@ class JobResult:
             records.extend(task.output)
         return records
 
-    def output_values(self) -> list[Any]:
-        return [record.value for record in self.output]
-
     def reduce_input_records(self) -> list[int]:
         return [task.input_records for task in self.reduce_tasks]
 

@@ -28,34 +28,24 @@ See ``docs/architecture.md`` for the server/session/job anatomy and
 failure semantics, and ``docs/api.md`` for the client guide.
 """
 
-from .client import (
-    RemoteExecution,
-    ServeClient,
-    ServeConnectionError,
-    SubmissionRejected,
-)
-from ..engine.pool import (
-    PooledBackend,
-    PooledRuntime,
-    PoolJobChannel,
-    SharedWorkerPool,
-    WorkerPoolError,
-)
-from .protocol import ENV_SERVE_TOKEN, service_token, wire_event
-from .server import ERServer
+from .. import _lazy
 
-__all__ = [
-    "ENV_SERVE_TOKEN",
-    "ERServer",
-    "PooledBackend",
-    "PooledRuntime",
-    "PoolJobChannel",
-    "RemoteExecution",
-    "ServeClient",
-    "ServeConnectionError",
-    "SharedWorkerPool",
-    "SubmissionRejected",
-    "WorkerPoolError",
-    "service_token",
-    "wire_event",
-]
+#: Public name → the module that defines it, imported on first access.
+_EXPORTS = {
+    "ENV_SERVE_TOKEN": ".protocol",
+    "ERServer": ".server",
+    "PooledBackend": "..engine.pool",
+    "PooledRuntime": "..engine.pool",
+    "PoolJobChannel": "..engine.pool",
+    "RemoteExecution": ".client",
+    "ServeClient": ".client",
+    "ServeConnectionError": ".client",
+    "SharedWorkerPool": "..engine.pool",
+    "SubmissionRejected": ".client",
+    "WorkerPoolError": "..engine.pool",
+    "service_token": ".protocol",
+    "wire_event": ".protocol",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)

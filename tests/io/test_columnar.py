@@ -38,72 +38,90 @@ def entities():
     ]
 
 
+@pytest.fixture
+def open_columnar():
+    """Opens columnar sources; closes them after the test, so no
+    memory-mapped column file outlives it."""
+    opened = []
+
+    def open_source(path, **kwargs):
+        opened.append(ColumnarShardSource(path, **kwargs))
+        return opened[-1]
+
+    yield open_source
+    for source in opened:
+        source.close()
+
+
 class TestRoundTrip:
-    def test_matches_csv_semantics(self, tmp_path, entities):
+    def test_matches_csv_semantics(self, open_columnar, tmp_path, entities):
         """Pack → load ≡ CSV save → load, entity for entity."""
         csv_path = tmp_path / "d.csv"
         save_entities_csv(entities, csv_path)
         via_csv = list(CsvShardSource(csv_path, num_shards=2).iter_records())
 
         out = write_columnar(InMemorySource(entities, num_shards=2), tmp_path / "cols")
-        source = ColumnarShardSource(out)
+        source = open_columnar(out)
         assert list(source.iter_records()) == via_csv
         assert source.shard_sizes() == (3, 2)
 
-    def test_shard_boundaries_preserved(self, tmp_path, entities):
+    def test_shard_boundaries_preserved(self, open_columnar, tmp_path, entities):
         packed = InMemorySource(entities, num_shards=3)
         out = write_columnar(packed, tmp_path / "cols")
-        source = ColumnarShardSource(out)
+        source = open_columnar(out)
         assert source.num_shards == 3
         assert source.shard_sizes() == packed.shard_sizes()
         ids = [[e.entity_id for e in source.iter_shard(i)] for i in range(3)]
         assert ids == [["a1", "a2"], ["a3", "a4"], ["a5"]]
 
-    def test_entity_list_is_one_shard(self, tmp_path, entities):
+    def test_entity_list_is_one_shard(self, open_columnar, tmp_path, entities):
         out = write_columnar(entities, tmp_path / "cols")
-        source = ColumnarShardSource(out)
+        source = open_columnar(out)
         assert source.num_shards == 1
         assert [e.entity_id for e in source.iter_records()] == [
             e.entity_id for e in entities
         ]
 
-    def test_generated_dataset(self, tmp_path):
+    def test_generated_dataset(self, open_columnar, tmp_path):
         products = generate_products(300, seed=5)
         out = write_columnar(InMemorySource(products, num_shards=4), tmp_path / "c")
-        loaded = list(ColumnarShardSource(out).iter_records())
+        loaded = list(open_columnar(out).iter_records())
         assert [e.entity_id for e in loaded] == [e.entity_id for e in products]
         assert all(
             loaded[i].get("title") == products[i].get("title")
             for i in range(len(products))
         )
 
-    def test_source_tag_override(self, tmp_path, entities):
+    def test_source_tag_override(self, open_columnar, tmp_path, entities):
         out = write_columnar(entities, tmp_path / "cols")
-        loaded = list(ColumnarShardSource(out, source="S").iter_records())
+        loaded = list(open_columnar(out, source="S").iter_records())
         assert all(e.source == "S" for e in loaded)
 
-    def test_repeated_passes_are_identical(self, tmp_path, entities):
+    def test_repeated_passes_are_identical(self, open_columnar, tmp_path, entities):
         out = write_columnar(entities, tmp_path / "cols")
-        source = ColumnarShardSource(out)
+        source = open_columnar(out)
         assert list(source.iter_records()) == list(source.iter_records())
 
-    def test_close_then_reuse_reopens(self, tmp_path, entities):
+    def test_close_then_reuse_reopens(self, open_columnar, tmp_path, entities):
         out = write_columnar(entities, tmp_path / "cols")
-        source = ColumnarShardSource(out)
+        source = open_columnar(out)
         first = list(source.iter_records())
         source.close()
         assert list(source.iter_records()) == first
 
 
 class TestPickling:
-    def test_pickles_after_maps_open(self, tmp_path, entities):
+    def test_pickles_after_maps_open(self, open_columnar, tmp_path, entities):
         """Serve ships sources inside pickled requests; the open maps
         must be dropped and lazily re-created on the other side."""
         out = write_columnar(entities, tmp_path / "cols")
-        source = ColumnarShardSource(out)
+        source = open_columnar(out)
         before = list(source.iter_records())  # force the mmaps open
         clone = pickle.loads(pickle.dumps(source))
-        assert list(clone.iter_records()) == before
+        try:
+            assert list(clone.iter_records()) == before
+        finally:
+            clone.close()
 
 
 class TestWriteErrors:

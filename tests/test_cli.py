@@ -396,6 +396,22 @@ class TestFailClosed:
         assert "'_id'" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["dedup", "recommend"])
+    def test_csv_shards_without_id_column(self, tmp_path, capsys, command):
+        """The streaming path fails as closed as the in-memory one."""
+        argv = [command, "--input", str(self._no_id_csv(tmp_path)),
+                "--input-format", "csv-shards", "--shards", "2"]
+        if command == "dedup":
+            argv += ["--output", str(tmp_path / "m.csv")]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"repro-er {command}: error: {self._no_id_csv(tmp_path)} "
+            "lacks the required '_id' column\n"
+        )
+
     @pytest.mark.parametrize("command", ["submit", "ingest"])
     def test_unreachable_server(self, tmp_path, capsys, monkeypatch, command):
         monkeypatch.setenv("REPRO_SERVE_TOKEN", "t")
